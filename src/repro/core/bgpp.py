@@ -11,6 +11,22 @@ and only the surviving keys fetch their next bit plane from memory.  This
 terminates both the computation and the KV-cache traffic of obviously trivial
 keys early.
 
+The partial sums are computed without materialising bit planes.  Keys are
+sign-magnitude, so magnitude plane ``j`` (MSB first) carries weight
+``2**s_j`` with ``s_j = key_bits - 2 - j``, and the hardware's shift-
+accumulate after round ``r`` holds, for a key that is still alive,
+
+``sum_{j<=r} (sign(k) * bit_j(|k|) . q) << s_j = (trunc(k / 2**s_r) . q) << s_r``
+
+because ``sum_{j<=r} bit_j(|k|) * 2**(s_j - s_r)`` is exactly
+``|k| >> s_r``.  A key that survives round ``r`` has received every plane
+``0..r`` (survivor sets only shrink), so each round recomputes its running
+sum in one product of the truncated keys with the query, restricted to the
+surviving rows.  Pruned keys keep the sum of the rounds they saw, exactly as
+their accumulators freeze in hardware.  The product runs in float64 through
+BLAS whenever ``|sum| <= d * (2**(key_bits-1) - 1) * max|q|`` stays below
+``2**53``, where every partial sum is an exact integer; otherwise in int64.
+
 The module provides:
 
 * :func:`bgpp_select` -- the progressive filter for one query row, returning
@@ -29,7 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bitslice import to_bitslices
+from .bitslice import _check_range
 
 __all__ = [
     "BGPPConfig",
@@ -136,15 +152,52 @@ def _reduced_precision_query(query: np.ndarray, query_bits: int, full_bits: int 
     return (query.astype(np.int64) >> shift) << shift
 
 
-def _signed_key_planes(keys: np.ndarray, key_bits: int) -> List[np.ndarray]:
-    """Return key bit planes MSB-first as {-1, 0, 1} matrices with signs applied."""
-    slices = to_bitslices(keys, bits=key_bits, fmt="sign_magnitude")
-    sign = slices[-1].astype(np.int64)
-    sign_factor = 1 - 2 * sign
-    planes: List[np.ndarray] = []
-    for i in reversed(range(key_bits - 1)):  # MSB magnitude plane first
-        planes.append(slices[i].astype(np.int64) * sign_factor)
-    return planes
+def _check_keys(keys: np.ndarray, key_bits: int) -> None:
+    """Keys must be integers with a ``key_bits``-bit sign-magnitude code.
+
+    ``-2**(key_bits-1)`` has none, so it raises like any out-of-range key.
+    """
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError(f"expected an integer key array, got dtype {keys.dtype}")
+    _check_range(keys, key_bits, "sign_magnitude")
+
+
+def _exact_operands(
+    keys: np.ndarray, q: np.ndarray, key_bits: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cast range-checked keys and the query for an exact product.
+
+    The operands come back as float64 when every partial sum of a
+    truncated-key product is an integer below ``2**53`` (so BLAS computes
+    it exactly), else as int64; an operand already in that dtype is not
+    copied.
+    """
+    q_max = float(np.abs(q).max()) if q.size else 0.0
+    bound = keys.shape[1] * float((1 << (key_bits - 1)) - 1) * q_max
+    dtype = np.float64 if bound < 2**53 else np.int64
+    return keys.astype(dtype, copy=False), q.astype(dtype, copy=False)
+
+
+def _truncated_partial(
+    keys: np.ndarray, rows: np.ndarray, q: np.ndarray, shift: int, work: np.ndarray
+) -> np.ndarray:
+    """Exact int64 ``(trunc(keys[rows] / 2**shift) @ q) << shift``.
+
+    This is the running sum after the round whose plane weight is
+    ``2**shift`` (see the module docstring); ``q`` is a vector or a
+    ``(d, B)`` matrix.  ``work`` is a scratch buffer shaped like ``keys``:
+    the rows are gathered and truncated there, so the rounds of one filter
+    pass share a single allocation.
+    """
+    # rows are valid indices; mode="clip" writes straight into ``work``
+    # where the default mode would gather into a temporary first
+    k = np.take(keys, rows, axis=0, out=work[: rows.size], mode="clip")
+    if k.dtype == np.float64:
+        k *= 1.0 / (1 << shift)  # power-of-two scale: exact
+        np.trunc(k, out=k)
+    else:
+        k = np.sign(k) * (np.abs(k) >> shift)
+    return (k @ q).astype(np.int64) << shift
 
 
 def _empty_result() -> BGPPResult:
@@ -196,14 +249,23 @@ def bgpp_select(
         raise ValueError(
             f"keys must have shape (n, {query.shape[0]}), got {keys.shape}"
         )
-    n_keys, d = keys.shape
-    if n_keys == 0:
+    if keys.shape[0] == 0:
         return _empty_result()
+    _check_keys(keys, config.key_bits)
+    return _filter_row(query, keys, config)
 
+
+def _filter_row(query: np.ndarray, keys: np.ndarray, config: BGPPConfig) -> BGPPResult:
+    """:func:`bgpp_select` on a non-empty, range-checked key matrix.
+
+    ``keys`` may be any dtype holding exact integers: the predictors pass
+    their float64 INT8 codes straight through, saving two conversions.
+    """
+    n_keys, d = keys.shape
     q = _reduced_precision_query(query, config.query_bits, full_bits=config.key_bits)
-    planes = _signed_key_planes(keys, config.key_bits)
-    n_magnitude_planes = len(planes)
-    rounds = min(config.rounds, n_magnitude_planes)
+    keys_w, q_w = _exact_operands(keys, q, config.key_bits)
+    work = np.empty_like(keys_w)
+    rounds = min(config.rounds, config.key_bits - 1)  # one round per magnitude plane
 
     alive = np.arange(n_keys)
     psum = np.zeros(n_keys, dtype=np.int64)
@@ -216,13 +278,11 @@ def bgpp_select(
     kv_bits += n_keys * d
 
     for r in range(rounds):
-        plane = planes[r]
         shift = config.key_bits - 2 - r  # weight of this magnitude plane
         # fetch the r-th bit of every surviving key
         kv_bits += alive.size * d
-        partial = plane[alive] @ q
         mac_ops += alive.size * d
-        psum[alive] = psum[alive] + (partial << shift)
+        psum[alive] = _truncated_partial(keys_w, alive, q_w, shift, work)
 
         scores = psum[alive].astype(np.float64) * config.score_scale
         current_max = scores.max()
@@ -267,14 +327,14 @@ def bgpp_select_batch(
 ) -> List[BGPPResult]:
     """Progressive filtering of a whole ``(B, d)`` query batch in one pass.
 
-    The expensive per-round work -- slicing the key bit planes and the
-    plane/query products -- is shared across the batch: the planes are built
-    once and each round issues a single ``(n_keys, d) @ (d, B)`` product
-    instead of ``B`` separate GEMVs.  The per-query threshold logic then runs
-    on the precomputed columns, so every returned :class:`BGPPResult` is
-    field-for-field identical to :func:`bgpp_select` on that row (including
-    the per-query KV-traffic and MAC accounting, which only count the keys
-    that were still alive for that query).
+    The expensive per-round work -- the truncated-key/query product -- is
+    shared across the batch: each round issues a single
+    ``(n_union, d) @ (d, B)`` product over the keys any query still keeps
+    alive instead of ``B`` separate GEMVs.  The per-query threshold logic
+    then runs on the precomputed columns, so every returned
+    :class:`BGPPResult` is field-for-field identical to :func:`bgpp_select`
+    on that row (including the per-query KV-traffic and MAC accounting,
+    which only count the keys that were still alive for that query).
 
     Parameters
     ----------
@@ -325,10 +385,29 @@ def bgpp_select_batch(
 
     if n_keys == 0:
         return [_empty_result() for _ in range(n_queries)]
+    _check_keys(keys, config.key_bits)
+    return _filter_batch(queries, keys, config, lengths, scales)
 
+
+def _filter_batch(
+    queries: np.ndarray,
+    keys: np.ndarray,
+    config: BGPPConfig,
+    lengths: np.ndarray,
+    scales: np.ndarray,
+) -> List[BGPPResult]:
+    """:func:`bgpp_select_batch` on a non-empty, range-checked key matrix.
+
+    ``lengths`` and ``scales`` are the per-query int64 prefix lengths and
+    float64 score scales; ``keys`` may hold exact integers in any dtype, as
+    in :func:`_filter_row`.
+    """
+    n_queries = queries.shape[0]
+    n_keys, d = keys.shape
     q_batch = _reduced_precision_query(queries, config.query_bits, full_bits=config.key_bits)
-    planes = _signed_key_planes(keys, config.key_bits)
-    rounds = min(config.rounds, len(planes))
+    keys_w, q_w = _exact_operands(keys, q_batch, config.key_bits)
+    work = np.empty_like(keys_w)
+    rounds = min(config.rounds, config.key_bits - 1)  # one round per magnitude plane
 
     psum = np.zeros((n_queries, n_keys), dtype=np.int64)
     # ragged batches: row b only ever sees its first key_lengths[b] keys
@@ -346,17 +425,17 @@ def bgpp_select_batch(
             break
         shift = config.key_bits - 2 - r  # weight of this magnitude plane
         alpha = config.alpha_for_round(r)
-        # one shared pass over the key plane for every still-active query,
-        # restricted to the union of keys any of them still keeps alive so
-        # pruned keys cost no compute in later rounds (round 0: all keys)
+        # one shared product for every still-active query, restricted to the
+        # union of keys any of them still keeps alive so pruned keys cost no
+        # compute in later rounds (round 0: all keys)
         union = np.flatnonzero(alive_mask[active].any(axis=0))
-        partial = planes[r][union] @ q_batch[active].T  # (n_union, n_active)
+        partial = _truncated_partial(keys_w, union, q_w[active].T, shift, work)
         for j, b in enumerate(active):
             alive = np.flatnonzero(alive_mask[b])
             kv_bits[b] += alive.size * d
             mac_ops[b] += alive.size * d
             rows = np.searchsorted(union, alive)  # alive is a subset of union
-            psum[b, alive] += partial[rows, j] << shift
+            psum[b, alive] = partial[rows, j]
 
             scores = psum[b, alive].astype(np.float64) * scales[b]
             current_max = scores.max()
@@ -449,6 +528,23 @@ def selection_recall(selected: np.ndarray, reference: np.ndarray) -> float:
     return hits / reference.size
 
 
+def _abs_max(x: np.ndarray, axis=None):
+    """``np.abs(x).max(axis)`` without the ``|x|`` temporary."""
+    return np.maximum(x.max(axis=axis), -x.min(axis=axis))
+
+
+def _int8_codes(x: np.ndarray, scale) -> np.ndarray:
+    """Symmetric INT8 codes ``clip(round(x / scale), -127, 127)`` as float64.
+
+    Computed in one fresh buffer; the values are exact integers, so
+    ``np.linalg.norm`` and ``astype(np.int64)`` see the same numbers as on
+    the integer codes.
+    """
+    codes = x / scale
+    np.round(codes, out=codes)
+    return np.clip(codes, -127, 127, out=codes)
+
+
 def make_bgpp_predictor(
     alpha: float | Sequence[float] = 0.55,
     rounds: int = 3,
@@ -484,13 +580,11 @@ def make_bgpp_predictor(
         if keys.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         d = query.shape[0]
-        q_scale = max(np.abs(query).max(), 1e-12) / 127.0
-        k_scale = max(np.abs(keys).max(), 1e-12) / 127.0
-        q_int = np.clip(np.round(query / q_scale), -127, 127).astype(np.int64)
-        k_int = np.clip(np.round(keys / k_scale), -127, 127).astype(np.int64)
+        q_codes = _int8_codes(query, max(_abs_max(query), 1e-12) / 127.0)
+        k_codes = _int8_codes(keys, max(_abs_max(keys), 1e-12) / 127.0)
         # Estimated std of the integer dot products: ||q|| * mean ||k|| / sqrt(d).
-        q_norm = float(np.linalg.norm(q_int))
-        k_norm = float(np.mean(np.linalg.norm(k_int, axis=1)))
+        q_norm = float(np.linalg.norm(q_codes))
+        k_norm = float(np.mean(np.linalg.norm(k_codes, axis=1)))
         score_std = max(q_norm * k_norm / np.sqrt(d), 1e-9)
         score_scale = score_std_target / score_std
         config = BGPPConfig(
@@ -501,7 +595,9 @@ def make_bgpp_predictor(
             query_bits=query_bits,
             score_scale=score_scale,
         )
-        return bgpp_select(q_int, k_int, config).selected
+        if key_bits < 8:  # INT8 codes fit every wider sign-magnitude key
+            _check_range(k_codes, key_bits, "sign_magnitude")
+        return _filter_row(q_codes.astype(np.int64), k_codes, config).selected
 
     def select_ragged(
         queries: np.ndarray, keys: np.ndarray, lengths: Sequence[int]
@@ -510,8 +606,8 @@ def make_bgpp_predictor(
 
         Reproduces the per-row quantisation exactly -- the key scale of row
         ``i`` is the running maximum of ``|keys|`` over its prefix -- and
-        groups rows that share a key scale so each group pays one plane build
-        and one :func:`bgpp_select_batch` call.  The returned indices are
+        groups rows that share a key scale so each group pays one key
+        quantisation and one batched filter pass.  The returned indices are
         bit-identical to ``predictor(queries[i], keys[:lengths[i]])``.
         """
         queries = np.asarray(queries, dtype=np.float64)
@@ -523,18 +619,18 @@ def make_bgpp_predictor(
         if nonempty.size == 0:
             return out
         d = queries.shape[1]
-        q_scales = np.maximum(np.abs(queries).max(axis=1), 1e-12) / 127.0
-        q_int = np.clip(np.round(queries / q_scales[:, None]), -127, 127).astype(np.int64)
+        q_scales = np.maximum(_abs_max(queries, axis=1), 1e-12) / 127.0
+        q_int = _int8_codes(queries, q_scales[:, None]).astype(np.int64)
         # the single-row path norms a 1-D vector; keep that exact op per row
         q_norms = np.array([float(np.linalg.norm(q_int[i])) for i in range(n_rows)])
-        key_cummax = np.maximum.accumulate(np.abs(keys).max(axis=1))
+        key_cummax = np.maximum.accumulate(_abs_max(keys, axis=1))
         k_scales = np.zeros(n_rows)
         k_scales[nonempty] = np.maximum(key_cummax[lengths[nonempty] - 1], 1e-12) / 127.0
         for scale in np.unique(k_scales[nonempty]):
             rows = np.flatnonzero((lengths > 0) & (k_scales == scale))
             max_len = int(lengths[rows].max())
-            k_int = np.clip(np.round(keys[:max_len] / scale), -127, 127).astype(np.int64)
-            key_norms = np.linalg.norm(k_int, axis=1)
+            k_codes = _int8_codes(keys[:max_len], scale)
+            key_norms = np.linalg.norm(k_codes, axis=1)
             score_scales = []
             for i in rows:
                 k_norm = float(np.mean(key_norms[: lengths[i]]))
@@ -547,12 +643,10 @@ def make_bgpp_predictor(
                 key_bits=key_bits,
                 query_bits=query_bits,
             )
-            results = bgpp_select_batch(
-                q_int[rows],
-                k_int,
-                config,
-                key_lengths=lengths[rows],
-                score_scales=score_scales,
+            if key_bits < 8:
+                _check_range(k_codes, key_bits, "sign_magnitude")
+            results = _filter_batch(
+                q_int[rows], k_codes, config, lengths[rows], np.asarray(score_scales)
             )
             for i, result in zip(rows, results):
                 out[int(i)] = result.selected

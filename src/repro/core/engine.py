@@ -143,8 +143,8 @@ class MCBPEngine:
         self.stats = EngineStats(weight_bits=weight_bits)
         self._layers: Dict[str, MCBPLayer] = {}
         self._plane_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        # float64 views of cached decoded planes for matmul()'s BLAS product
-        self._plane_cache_f64: Dict[str, np.ndarray] = {}
+        # float32 copies of cached decoded planes for matmul()'s BLAS product
+        self._plane_cache_blas: Dict[str, np.ndarray] = {}
 
     @property
     def weight_bits(self) -> int:
@@ -164,7 +164,7 @@ class MCBPEngine:
         )
         self._layers[name] = layer
         self._plane_cache.pop(name, None)  # re-registering invalidates the cache
-        self._plane_cache_f64.pop(name, None)
+        self._plane_cache_blas.pop(name, None)
         return layer
 
     def layer_names(self) -> List[str]:
@@ -195,7 +195,7 @@ class MCBPEngine:
             self._plane_cache[name] = weight_q
             while len(self._plane_cache) > self.plane_cache_entries:
                 evicted, _ = self._plane_cache.popitem(last=False)
-                self._plane_cache_f64.pop(evicted, None)
+                self._plane_cache_blas.pop(evicted, None)
         return weight_q
 
     def cache_contents(self) -> List[str]:
@@ -204,7 +204,7 @@ class MCBPEngine:
 
     def clear_plane_cache(self) -> None:
         self._plane_cache.clear()
-        self._plane_cache_f64.clear()
+        self._plane_cache_blas.clear()
 
     # -- execution -------------------------------------------------------------
 
@@ -230,43 +230,59 @@ class MCBPEngine:
         return outputs
 
     def matmul(self, name: str, activations_q: np.ndarray) -> np.ndarray:
-        """Serving fast path: cached decoded planes + one NumPy integer matmul.
+        """Serving fast path: cached decoded planes + an exact BLAS product.
 
         Bit-identical to :meth:`gemm` (the BRCR bit-serial path is pinned
         exact against the dense product by the property suite) but skips the
         bit-serial emulation, so one scheduler step over a ``(H, B)`` batch
-        pays at most one BSTC decode per layer (on a plane-cache miss) plus a
-        single ``(M, K) @ (K, B)`` product for the whole active batch.
-        ``gemm_calls``/``dense_macs`` and the cache/weight-traffic counters
-        accumulate as usual; ``brcr_additions`` does not move because no
-        bit-serial execution ran.
+        pays at most one BSTC decode per layer (on a plane-cache miss) plus
+        one ``(M, K) @ (K, B)`` product for the whole active batch.  The
+        product runs as float32 BLAS over K-blocks narrow enough that every
+        partial sum is an exact integer (see :meth:`_exact_sgemm_block`;
+        INT8 operands give 1032-column blocks), summed across blocks in
+        int64; activations too wide for any exact block take an int64
+        product.  ``gemm_calls``/``dense_macs`` and the cache/weight-traffic
+        counters accumulate as usual; ``brcr_additions`` does not move
+        because no bit-serial execution ran.
         """
         if name not in self._layers:
             raise KeyError(f"layer {name!r} was never registered")
         layer = self._layers[name]
         weight_q = self._decoded_weight(name)
         acts = np.asarray(activations_q, dtype=np.int64)
-        # BLAS float64 product: every partial sum is an integer bounded by
-        # K * max|W| * max|X|, exact in float64 as long as it stays below
-        # 2**53; fall back to the integer loops for pathological magnitudes.
-        bound = (
-            weight_q.shape[1]
-            * float(1 << max(self.weight_bits - 1, 1))
-            * float(np.abs(acts).max() if acts.size else 0)
-        )
-        if bound < 2**53:
-            weight_f = self._plane_cache_f64.get(name)
+        block = self._exact_sgemm_block(acts)
+        if block:
+            # float32 copy of the decoded planes, cached with their LRU entry
+            weight_f = self._plane_cache_blas.get(name)
             if weight_f is None:
-                weight_f = weight_q.astype(np.float64)
+                weight_f = weight_q.astype(np.float32)
                 if name in self._plane_cache:
-                    self._plane_cache_f64[name] = weight_f
-            outputs = (weight_f @ acts.astype(np.float64)).astype(np.int64)
+                    self._plane_cache_blas[name] = weight_f
+            acts_f = acts.astype(np.float32)
+            outputs = (weight_f[:, :block] @ acts_f[:block]).astype(np.int64)
+            for start in range(block, weight_f.shape[1], block):
+                stop = start + block
+                outputs += (weight_f[:, start:stop] @ acts_f[start:stop]).astype(np.int64)
         else:
             outputs = weight_q.astype(np.int64) @ acts
         n_cols = 1 if acts.ndim == 1 else acts.shape[1]
         self.stats.gemm_calls += 1
         self.stats.dense_macs += layer.weight_shape[0] * layer.weight_shape[1] * n_cols
         return outputs
+
+    def _exact_sgemm_block(self, acts: np.ndarray) -> int:
+        """Widest K-block whose float32 partial sums are exact, 0 if none is.
+
+        Each product term is at most ``2**(weight_bits-1) * max|X|`` in
+        magnitude, so a block of ``(2**24 - 1) // that`` columns keeps every
+        partial sum an integer below ``2**24`` -- exactly representable in
+        float32 whatever order BLAS accumulates in.  All-zero activations
+        need no blocking.
+        """
+        x_max = int(np.abs(acts).max()) if acts.size else 0
+        if x_max == 0:
+            return max(acts.shape[0], 1)
+        return ((1 << 24) - 1) // ((1 << max(self.weight_bits - 1, 1)) * x_max)
 
     def select_keys(
         self, query_q: np.ndarray, keys_q: np.ndarray

@@ -64,10 +64,11 @@ def fidelity_metrics(
     cand = np.asarray(candidate_logits, dtype=np.float64)
     if ref.shape != cand.shape:
         raise ValueError(f"shape mismatch {ref.shape} vs {cand.shape}")
-    cosine = float(
-        np.sum(ref * cand)
-        / max(np.linalg.norm(ref) * np.linalg.norm(cand), 1e-12)
-    )
+    # one reduction method for all three dot products, so identical inputs
+    # give exactly 1.0 (sqrt(fl(x*x)) == x) whatever BLAS threading does
+    r, c = ref.ravel(), cand.ravel()
+    norm = np.sqrt(np.dot(r, r) * np.dot(c, c))
+    cosine = float(np.clip(np.dot(r, c) / max(norm, 1e-12), -1.0, 1.0))
     ref_tokens = np.argmax(ref, axis=-1)
     cand_tokens = np.argmax(cand, axis=-1)
     top1 = float(np.mean(ref_tokens == cand_tokens))

@@ -16,6 +16,7 @@ from repro.core.bgpp import (
     selection_recall,
     value_topk_select,
 )
+from repro.core.bitslice import to_bitslices
 from repro.workloads.profile import synthetic_attention_tensors
 
 
@@ -208,3 +209,233 @@ class TestPredictorFactories:
     def test_predictors_handle_empty_keys(self):
         predictor = make_bgpp_predictor()
         assert predictor(np.ones(4), np.zeros((0, 4))).size == 0
+
+
+# -- plane-by-plane reference ------------------------------------------------
+#
+# The hardware streams sign-magnitude key bit planes MSB-first and shift-
+# accumulates each plane's partial product for the surviving keys only.  The
+# library computes the same running sums from truncated keys in one BLAS
+# product per round; this reference keeps the literal per-plane loop.
+
+
+def _signed_key_planes(keys, key_bits):
+    """Key bit planes MSB-first as {-1, 0, 1} matrices with signs applied."""
+    slices = to_bitslices(keys, bits=key_bits, fmt="sign_magnitude")
+    sign_factor = 1 - 2 * slices[-1].astype(np.int64)
+    return [
+        slices[i].astype(np.int64) * sign_factor
+        for i in reversed(range(key_bits - 1))  # MSB magnitude plane first
+    ]
+
+
+def _reference_select(query, keys, config):
+    """Plane-by-plane progressive filter for one query row."""
+    n_keys, d = keys.shape
+    if n_keys == 0:
+        return None
+    full = config.key_bits
+    q = query.astype(np.int64)
+    if config.query_bits < full:
+        shift = full - config.query_bits
+        q = (q >> shift) << shift
+    planes = _signed_key_planes(keys, full)
+    rounds = min(config.rounds, len(planes))
+    alive = np.arange(n_keys)
+    psum = np.zeros(n_keys, dtype=np.int64)
+    kv_bits = n_keys * d  # sign plane rides with the first magnitude plane
+    mac_ops = 0
+    survivors = []
+    early = False
+    for r in range(rounds):
+        kv_bits += alive.size * d
+        mac_ops += alive.size * d
+        psum[alive] += (planes[r][alive] @ q) << (full - 2 - r)
+        scores = psum[alive].astype(np.float64) * config.score_scale
+        threshold = scores.max() - config.alpha_for_round(r) * config.radius
+        if threshold <= scores.min():
+            survivors.append(int(alive.size))
+            continue
+        keep = scores >= threshold
+        if keep.sum() < config.min_keys:
+            keep = np.zeros_like(keep)
+            keep[np.argsort(scores)[::-1][: config.min_keys]] = True
+        alive = alive[keep]
+        survivors.append(int(alive.size))
+        if alive.size <= config.min_keys:
+            early = True
+            break
+    return dict(
+        selected=np.sort(alive),
+        estimated_scores=psum.astype(np.float64) * config.score_scale,
+        survivors_per_round=survivors,
+        kv_bits_loaded=int(kv_bits),
+        mac_ops=int(mac_ops),
+        rounds_executed=len(survivors),
+        early_terminated=early,
+    )
+
+
+def _assert_matches_reference(result, reference):
+    if reference is None:  # empty key set
+        assert result.selected.size == 0 and result.estimated_scores.size == 0
+        assert result.survivors_per_round == [] and result.rounds_executed == 0
+        assert result.kv_bits_loaded == 0 and result.mac_ops == 0
+        assert not result.early_terminated
+        return
+    assert result.selected.dtype == np.int64
+    assert np.array_equal(result.selected, reference["selected"])
+    assert result.estimated_scores.dtype == np.float64
+    assert np.array_equal(result.estimated_scores, reference["estimated_scores"])
+    for name in (
+        "survivors_per_round",
+        "kv_bits_loaded",
+        "mac_ops",
+        "rounds_executed",
+        "early_terminated",
+    ):
+        assert getattr(result, name) == reference[name], name
+
+
+def _reference_predictor(query, keys, rounds, alpha, query_bits, score_std_target=0.8):
+    """``make_bgpp_predictor``'s quantisation in front of the reference filter."""
+    if keys.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    q_scale = max(np.abs(query).max(), 1e-12) / 127.0
+    k_scale = max(np.abs(keys).max(), 1e-12) / 127.0
+    q_int = np.clip(np.round(query / q_scale), -127, 127).astype(np.int64)
+    k_int = np.clip(np.round(keys / k_scale), -127, 127).astype(np.int64)
+    q_norm = float(np.linalg.norm(q_int))
+    k_norm = float(np.mean(np.linalg.norm(k_int, axis=1)))
+    score_std = max(q_norm * k_norm / np.sqrt(query.shape[0]), 1e-9)
+    config = BGPPConfig(
+        rounds=rounds,
+        alpha=alpha,
+        query_bits=query_bits,
+        score_scale=score_std_target / score_std,
+    )
+    return _reference_select(q_int, k_int, config)["selected"]
+
+
+_ALPHAS = st.one_of(
+    st.sampled_from([0.0, 0.3, 0.55, 0.8, 1.0]),
+    st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.9]), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _bgpp_cases(draw):
+    """Integer queries/keys plus a config; keys include the ±(2**(b-1)-1) extremes."""
+    key_bits = draw(st.integers(2, 8))
+    k_max = (1 << (key_bits - 1)) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_keys = draw(st.integers(0, 40))
+    d = draw(st.integers(1, 16))
+    n_queries = draw(st.integers(1, 5))
+    keys = rng.integers(-k_max, k_max + 1, size=(n_keys, d))
+    extremes = rng.random(keys.shape) < 0.2
+    keys[extremes] = rng.choice([-k_max, k_max], size=int(extremes.sum()))
+    queries = rng.integers(-127, 128, size=(n_queries, d))
+    # score scale sized so the radius threshold actually prunes
+    spread = max(1.0, np.sqrt(d) * k_max * 127 / 4)
+    config = BGPPConfig(
+        rounds=draw(st.integers(1, 8)),
+        radius=draw(st.sampled_from([1.0, 3.0, 6.0])),
+        alpha=draw(_ALPHAS),
+        key_bits=key_bits,
+        query_bits=draw(st.integers(1, 8)),
+        score_scale=draw(st.floats(0.5, 40.0)) / spread,
+        min_keys=draw(st.integers(1, 4)),
+    )
+    lengths = rng.integers(0, n_keys + 1, size=n_queries)
+    scales = config.score_scale * rng.uniform(0.25, 4.0, size=n_queries)
+    return queries, keys, config, lengths, scales
+
+
+ORACLE = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestTruncatedKeyRoundsMatchPlaneOracle:
+    """Every result field equals the plane-by-plane shift-accumulate."""
+
+    @ORACLE
+    @given(_bgpp_cases())
+    def test_single_row(self, case):
+        queries, keys, config, _, _ = case
+        for query in queries:
+            _assert_matches_reference(
+                bgpp_select(query, keys, config), _reference_select(query, keys, config)
+            )
+
+    @ORACLE
+    @given(_bgpp_cases())
+    def test_ragged_batch_with_per_row_scales(self, case):
+        queries, keys, config, lengths, scales = case
+        results = bgpp_select_batch(
+            queries, keys, config, key_lengths=lengths, score_scales=scales
+        )
+        assert len(results) == len(queries)
+        for query, length, scale, result in zip(queries, lengths, scales, results):
+            row_config = BGPPConfig(**{**config.__dict__, "score_scale": float(scale)})
+            _assert_matches_reference(
+                result, _reference_select(query, keys[:length], row_config)
+            )
+
+    @ORACLE
+    @given(_bgpp_cases())
+    def test_batch_defaults_match_single_rows(self, case):
+        queries, keys, config, _, _ = case
+        for query, result in zip(queries, bgpp_select_batch(queries, keys, config)):
+            _assert_matches_reference(result, _reference_select(query, keys, config))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(1, 8),
+        _ALPHAS,
+    )
+    def test_predictor_select_ragged(self, seed, rounds, query_bits, alpha):
+        rng = np.random.default_rng(seed)
+        n_keys, d = int(rng.integers(1, 30)), int(rng.integers(1, 24))
+        keys = rng.normal(size=(n_keys, d))
+        queries = rng.normal(size=(int(rng.integers(1, 6)), d))
+        lengths = rng.integers(0, n_keys + 1, size=queries.shape[0])
+        predictor = make_bgpp_predictor(alpha=alpha, rounds=rounds, query_bits=query_bits)
+        ragged = predictor.select_ragged(queries, keys, lengths)
+        for query, length, selected in zip(queries, lengths, ragged):
+            expected = _reference_predictor(query, keys[:length], rounds, alpha, query_bits)
+            assert np.array_equal(selected, expected)
+            assert np.array_equal(predictor(query, keys[:length]), expected)
+
+    def test_queries_too_wide_for_float64_take_the_int64_product(self):
+        rng = np.random.default_rng(5)
+        keys = rng.integers(-127, 128, size=(24, 16))
+        keys[0, 0] = 127
+        queries = rng.integers(-(2**50), 2**50, size=(3, 16))  # 16*127*2**50 > 2**53
+        config = BGPPConfig(rounds=7, alpha=0.4, score_scale=2.0**-52, min_keys=2)
+        results = bgpp_select_batch(queries, keys, config, key_lengths=[24, 9, 0])
+        for query, length, result in zip(queries, [24, 9, 0], results):
+            reference = _reference_select(query, keys[:length], config)
+            _assert_matches_reference(result, reference)
+            if length == 24:
+                _assert_matches_reference(bgpp_select(query, keys, config), reference)
+
+    def test_out_of_range_keys_still_raise(self):
+        keys = np.array([[-128, 3], [5, 7]])  # -128 has no 8-bit sign-magnitude code
+        query = np.array([1, 2])
+        with pytest.raises(ValueError):
+            bgpp_select(query, keys, BGPPConfig(key_bits=8))
+        with pytest.raises(ValueError):
+            bgpp_select_batch(query[None, :], keys, BGPPConfig(key_bits=8))
+        with pytest.raises(ValueError):
+            bgpp_select(query, np.array([[8, 0]]), BGPPConfig(key_bits=4))
+        with pytest.raises(TypeError):
+            bgpp_select(query, keys.astype(np.float64), BGPPConfig(key_bits=8))
+        # the predictors quantise to INT8 codes, which 4-bit keys cannot hold
+        narrow = make_bgpp_predictor(key_bits=4)
+        float_keys = np.array([[-1.0, 0.5], [0.25, 0.75]])
+        with pytest.raises(ValueError):
+            narrow(np.array([1.0, 2.0]), float_keys)
+        with pytest.raises(ValueError):
+            narrow.select_ragged(np.array([[1.0, 2.0]]), float_keys, [2])
