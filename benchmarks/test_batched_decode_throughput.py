@@ -3,13 +3,14 @@
 For each batch size ``B`` in {1, 4, 8, 16} the same ``B`` prefilled decode
 streams advance ``N_STEPS`` tokens two ways:
 
-* **per-session loop** -- one ``model.forward`` call per stream per step
-  (what the PR-1 scheduler did);
-* **fused batched step** -- ``IncrementalDecoder.step_batch`` stacks the
-  streams into one ``(B, hidden)`` batch and runs a single quantised forward
-  per step, with the model bound to an :class:`MCBPEngine` so each weight
-  matrix's BSTC planes are decoded at most once per step (in steady state:
-  once overall, via the decoded-plane cache).
+* **per-session loop** -- one ``IncrementalDecoder.step`` (one
+  ``model.forward`` call) per stream per step;
+* **fused batched step** -- ``IncrementalDecoder.prefill_step_batch`` runs
+  every stream's token as a one-row chunk of a single quantised forward
+  per step (the engine's one step path), with the model bound to an
+  :class:`MCBPEngine` so each weight matrix's BSTC planes are decoded at
+  most once per step (in steady state: once overall, via the
+  decoded-plane cache).
 
 A second grid pits the fused path's two KV layouts against each other at
 long context (``ARENA_CONTEXT`` tokens, ``B`` in {8, 16}):
@@ -27,11 +28,11 @@ policy-driven :class:`ServingEngine` under the shipped policy pairs
 p95 latency, preemption and deadline-miss counts, and wall-clock tokens/sec.
 
 A fourth grid measures the **chunked batched prefill pipeline**: one
-prefill-heavy bursty (Pareto) trace at ``B = 8`` runs with one-shot serial
-prefill vs batched prefill, recording per-request *wall-clock* TTFT p50/p95
-(queue delay in steps is identical by construction, so wall time isolates
-the prefill execution strategy) plus a ``prefill_token_budget`` sweep
-showing the TTFT-vs-decode-throughput trade.
+prefill-heavy bursty (Pareto) trace at ``B = 8`` runs with no budget,
+recording per-request *wall-clock* TTFT p50/p95 and checking the
+step-domain report against the one-shot serial prefill schedule pinned
+below, plus a ``prefill_token_budget`` sweep showing the
+TTFT-vs-decode-throughput trade.
 
 A fifth grid measures the **cross-request prefix cache**: a shared-prefix
 trace (every prompt opens with the same long head) runs with
@@ -44,13 +45,12 @@ policy runs, whose evicted sessions must resume bit-identically to their
 solo decode, and every chunked/mixed prefill step), fused >= per-session at
 ``B = 8``, arena >= stacking at ``B = 8``, exactly one BSTC decode per
 weight matrix, the arena must copy >= ``ARENA_BYTES_GATE``x fewer KV bytes
-per step at the long context, ``ServingEngine`` at FCFS must match the
-pre-policy scheduler's report bit-exactly and keep >= 0.8x of its
-wall-clock throughput, the priority policy must cut high-priority p95
-latency strictly below FCFS on the bursty trace (with real preemptions),
-the deadline policy must not miss more deadlines than FCFS, batched
-prefill must not lose to serial prefill on wall-clock TTFT p95 (its
-step-domain report must be bit-identical), and the prefix cache must
+per step at the long context, ``ServingEngine`` at FCFS must emit solo
+``generate()`` tokens on the sampled serving stream, the priority policy
+must cut high-priority p95 latency strictly below FCFS on the bursty trace
+(with real preemptions), the deadline policy must not miss more deadlines
+than FCFS, the unbudgeted prefill run's step-domain report must equal the
+pinned serial-prefill schedule, and the prefix cache must
 allocate strictly fewer pages on the shared-prefix trace without losing
 the cache-off TTFT p95 (tokens, per-request metrics and -- on the
 divergent trace -- page faults all bit-identical).  Results are written to
@@ -63,7 +63,6 @@ trajectory is tracked from this PR on.
 import gc
 import json
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +72,6 @@ from repro.model import QuantizedTransformer, TransformerModel, generate, get_mo
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
     ClusterEngine,
-    ContinuousBatchingScheduler,
     FaultPlan,
     FaultSpec,
     PagedKVArena,
@@ -107,13 +105,49 @@ HIGH_PRIORITY = 2
 
 # prefill grid: one prefill-heavy bursty trace (long prompts, short decodes,
 # dense Pareto bursts -- the regime where admissions dominate each step) at
-# B = GATED_BATCH, serial vs chunked batched prefill + a chunk-budget sweep
+# B = GATED_BATCH, unbudgeted chunked prefill + a chunk-budget sweep
 PREFILL_REQUESTS = 32
 PREFILL_BUDGETS = (16, 32, 64, None)
-# batched prefill sits ~1.2-1.4x under serial TTFT p95; the gate allows a
-# 10% excursion so one noisy best-of-3 sample on a loaded CI runner cannot
-# flip an unrelated PR red (the recorded numbers still track the trajectory)
-PREFILL_TTFT_GATE = 1.1
+# the unbudgeted run's report on the prefill trace, pinned from the one-shot
+# serial prefill engine (request_id, arrival, admitted, first token,
+# finished, tokens, keys attended, keys total) in resolution order: with no
+# budget every prompt lands in its admission step, so the schedule must not
+# move
+PREFILL_SERIAL_STEPS = 22
+PREFILL_SERIAL_SCHEDULE = [
+    ("req000-Winogrande", 0, 0, 0, 0, 1, 110, 110),
+    ("req001-Cola", 0, 0, 0, 0, 1, 110, 110),
+    ("req003-Winogrande", 0, 0, 0, 0, 1, 110, 110),
+    ("req004-Cola", 1, 1, 1, 1, 1, 110, 110),
+    ("req002-Dolly", 0, 0, 0, 2, 3, 2550, 2550),
+    ("req005-SST2", 2, 2, 2, 2, 1, 110, 110),
+    ("req006-Cola", 2, 2, 2, 2, 1, 110, 110),
+    ("req008-Winogrande", 2, 2, 2, 2, 1, 110, 110),
+    ("req009-MNLI", 2, 2, 2, 2, 1, 462, 462),
+    ("req010-Cola", 2, 2, 2, 2, 1, 110, 110),
+    ("req015-Cola", 3, 3, 3, 3, 1, 110, 110),
+    ("req017-MMLU", 4, 4, 4, 4, 1, 462, 462),
+    ("req007-Wikitext2", 2, 2, 2, 5, 4, 2652, 2652),
+    ("req013-Dolly", 3, 3, 3, 5, 3, 2550, 2550),
+    ("req012-Wikitext2", 3, 3, 3, 6, 4, 2652, 2652),
+    ("req016-Dolly", 4, 4, 4, 6, 3, 2550, 2550),
+    ("req018-Wikilingua", 4, 4, 4, 7, 4, 2652, 2652),
+    ("req011-MBPP", 2, 2, 2, 9, 8, 90, 90),
+    ("req014-MBPP", 3, 3, 3, 10, 8, 90, 90),
+    ("req022-Cola", 13, 13, 13, 13, 1, 110, 110),
+    ("req023-MMLU", 13, 13, 13, 13, 1, 462, 462),
+    ("req025-Cola", 14, 14, 14, 14, 1, 110, 110),
+    ("req026-MNLI", 14, 14, 14, 14, 1, 462, 462),
+    ("req028-Cola", 14, 14, 14, 14, 1, 110, 110),
+    ("req029-SST2", 14, 15, 15, 15, 1, 110, 110),
+    ("req030-Cola", 15, 15, 15, 15, 1, 110, 110),
+    ("req031-MMLU", 15, 15, 15, 15, 1, 462, 462),
+    ("req019-Wikilingua", 13, 13, 13, 16, 4, 2652, 2652),
+    ("req020-Wikitext2", 13, 13, 13, 16, 4, 2652, 2652),
+    ("req021-Wikitext2", 13, 13, 13, 16, 4, 2652, 2652),
+    ("req024-Dolly", 14, 14, 14, 16, 3, 2550, 2550),
+    ("req027-MBPP", 14, 14, 14, 21, 8, 90, 90),
+]
 
 # prefix-cache grid: one shared-prefix trace (a long common prompt head,
 # ragged novel tails) and one divergent trace (distinct leading token, so no
@@ -200,7 +234,13 @@ def _prefilled_decoders(model, batch, prompt_len=PROMPT_LEN, arena=None):
     return decoders, tokens
 
 
-def _decode_tokens_per_sec(model, batch, fused):
+def _decode_rows(decoders, tokens):
+    """One decode row per stream through the engine's mixed pass."""
+    _, out = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+    return out
+
+
+def _decode_tokens_per_sec(model, batch, mixed_pass):
     """Best-of-REPEATS tokens/sec of the decode loop; returns (tps, tokens)."""
     best = float("inf")
     final_tokens = None
@@ -208,8 +248,8 @@ def _decode_tokens_per_sec(model, batch, fused):
         decoders, tokens = _prefilled_decoders(model, batch)
         start = time.perf_counter()
         for _ in range(N_STEPS):
-            if fused:
-                tokens = IncrementalDecoder.step_batch(decoders, tokens)
+            if mixed_pass:
+                tokens = _decode_rows(decoders, tokens)
             else:
                 tokens = [d.step(t) for d, t in zip(decoders, tokens)]
         best = min(best, time.perf_counter() - start)
@@ -252,7 +292,7 @@ def _arena_vs_stacking_row(model, batch):
             gather_base = arena.stats.gather_bytes_copied if arena else 0
             start = time.perf_counter()
             for _ in range(ARENA_STEPS):
-                tokens = IncrementalDecoder.step_batch(decoders, tokens)
+                tokens = _decode_rows(decoders, tokens)
             best = min(best, time.perf_counter() - start)
             final_tokens[mode] = list(tokens)
             copied = (
@@ -353,21 +393,16 @@ def _prefill_trace(config):
     )
 
 
-def _ttft_wall_run(
-    model, requests, batched, budget=None, page_size=32, prefix_cache=False
-):
+def _ttft_wall_run(model, requests, budget=None, page_size=32, prefix_cache=False):
     """One engine run recording per-request wall-clock TTFT.
 
     A request's wall TTFT is the time from the start of its arrival step to
     the emission of its first token -- the wall-clock shadow of the
-    step-domain ``time_to_first_token_steps``, so the serial and batched
-    runs (whose step schedules are identical when ``budget`` is ``None``)
-    differ only by how fast each step executes its prefill work.
+    step-domain ``time_to_first_token_steps``.
     """
     engine = ServingEngine(
         model,
         max_active=GATED_BATCH,
-        batched_prefill=batched,
         prefill_token_budget=budget,
         page_size=page_size,
         prefix_cache=prefix_cache,
@@ -392,7 +427,7 @@ def _ttft_wall_run(
 
 
 def _prefill_rows(model):
-    """Serial vs chunked batched prefill TTFT, plus the chunk-budget sweep.
+    """Unbudgeted chunked prefill TTFT, plus the chunk-budget sweep.
 
     Every run -- any budget, any mixed decode+prefill step, including the
     budget-stretched multi-step prefills -- must reproduce each request's
@@ -408,41 +443,48 @@ def _prefill_rows(model):
         ).generated_tokens
         for r in requests
     }
-    rows = {}
-    reports = {}
-    for mode, batched in (("serial", False), ("batched", True)):
-        best_p95 = best_p50 = float("inf")
-        for _ in range(REPEATS):
-            report, handles, ttfts = _ttft_wall_run(model, requests, batched)
-            for handle in handles:
-                assert handle.generated_tokens == reference[handle.request_id], (
-                    f"{mode} prefill diverged from the solo reference for "
-                    f"{handle.request_id}"
-                )
-            best_p95 = min(best_p95, float(np.percentile(ttfts, 95)))
-            best_p50 = min(best_p50, float(np.percentile(ttfts, 50)))
-        reports[mode] = report
-        rows[mode] = {
-            "ttft_wall_p50_ms": best_p50 * 1e3,
-            "ttft_wall_p95_ms": best_p95 * 1e3,
-            "steps": report.steps,
-            "ttft_steps_p95": float(
-                np.percentile(
-                    [m.time_to_first_token_steps for m in report.requests], 95
-                )
-            ),
-        }
-    # with no budget cap the batched pipeline must not perturb the
-    # step-domain schedule at all: the whole report is bit-identical
-    assert (
-        reports["batched"].requests == reports["serial"].requests
-    ), "chunked prefill changed the step-domain schedule at unlimited budget"
+    best_p95 = best_p50 = float("inf")
+    for _ in range(REPEATS):
+        report, handles, ttfts = _ttft_wall_run(model, requests)
+        for handle in handles:
+            assert handle.generated_tokens == reference[handle.request_id], (
+                f"prefill diverged from the solo reference for "
+                f"{handle.request_id}"
+            )
+        best_p95 = min(best_p95, float(np.percentile(ttfts, 95)))
+        best_p50 = min(best_p50, float(np.percentile(ttfts, 50)))
+    batched = {
+        "ttft_wall_p50_ms": best_p50 * 1e3,
+        "ttft_wall_p95_ms": best_p95 * 1e3,
+        "steps": report.steps,
+        "ttft_steps_p95": float(
+            np.percentile(
+                [m.time_to_first_token_steps for m in report.requests], 95
+            )
+        ),
+    }
+    # with no budget cap the chunked pipeline must not perturb the
+    # step-domain schedule at all: the report equals the serial pin
+    assert report.steps == PREFILL_SERIAL_STEPS
+    assert [
+        (
+            m.request_id,
+            m.arrival_step,
+            m.admitted_step,
+            m.first_token_step,
+            m.finished_step,
+            m.n_generated,
+            m.keys_attended,
+            m.keys_total,
+        )
+        for m in report.requests
+    ] == PREFILL_SERIAL_SCHEDULE, (
+        "chunked prefill changed the step-domain schedule at unlimited budget"
+    )
 
     sweep = []
     for budget in PREFILL_BUDGETS:
-        report, handles, ttfts = _ttft_wall_run(
-            model, requests, batched=True, budget=budget
-        )
+        report, handles, ttfts = _ttft_wall_run(model, requests, budget=budget)
         for handle in handles:
             assert handle.generated_tokens == reference[handle.request_id], (
                 f"budget={budget} prefill diverged for {handle.request_id}"
@@ -472,11 +514,7 @@ def _prefill_rows(model):
     return {
         "batch": GATED_BATCH,
         "requests": PREFILL_REQUESTS,
-        "serial": rows["serial"],
-        "batched": rows["batched"],
-        "ttft_p95_speedup": (
-            rows["serial"]["ttft_wall_p95_ms"] / rows["batched"]["ttft_wall_p95_ms"]
-        ),
+        "batched": batched,
         "budget_sweep": sweep,
     }
 
@@ -532,7 +570,6 @@ def _prefix_cache_block(model):
             report, handles, ttfts = _ttft_wall_run(
                 model,
                 shared,
-                batched=True,
                 page_size=PREFIX_PAGE_SIZE,
                 prefix_cache=cache,
             )
@@ -568,7 +605,6 @@ def _prefix_cache_block(model):
         report, handles, _ = _ttft_wall_run(
             model,
             divergent,
-            batched=True,
             page_size=PREFIX_PAGE_SIZE,
             prefix_cache=cache,
         )
@@ -1186,9 +1222,11 @@ def test_batched_decode_throughput(benchmark):
     rows = []
     for batch in BATCH_SIZES:
         sequential_tps, sequential_tokens = _decode_tokens_per_sec(
-            model, batch, fused=False
+            model, batch, mixed_pass=False
         )
-        fused_tps, fused_tokens = _decode_tokens_per_sec(model, batch, fused=True)
+        fused_tps, fused_tokens = _decode_tokens_per_sec(
+            model, batch, mixed_pass=True
+        )
         assert fused_tokens == sequential_tokens, f"fused decode diverged at B={batch}"
         rows.append(
             {
@@ -1210,7 +1248,7 @@ def test_batched_decode_throughput(benchmark):
     def fused_gated_batch():
         decoders, tokens = _prefilled_decoders(model, GATED_BATCH)
         for _ in range(N_STEPS):
-            tokens = IncrementalDecoder.step_batch(decoders, tokens)
+            tokens = _decode_rows(decoders, tokens)
         return tokens
 
     benchmark.pedantic(fused_gated_batch, rounds=3, iterations=1)
@@ -1219,37 +1257,25 @@ def test_batched_decode_throughput(benchmark):
     arena_rows = [_arena_vs_stacking_row(model, batch) for batch in ARENA_BATCHES]
 
     # shared-format serving report: one fused engine run over a sampled
-    # request stream (the same schema serving_simulation.py --json emits),
-    # timed against the deprecated pre-policy front end on the same stream
+    # request stream (the same schema serving_simulation.py --json emits)
     config = model.config
     stream = sample_requests(
         16, vocab_size=config.vocab_size, mean_interarrival=0.5, seed=11
     )
 
-    def _timed_run(make_engine):
-        best, report = float("inf"), None
-        for _ in range(REPEATS):
-            serving = make_engine()
-            serving.submit_many(stream)
-            start = time.perf_counter()
-            report = serving.run()
-            best = min(best, time.perf_counter() - start)
-        return report, report.total_tokens / best
-
-    report, fcfs_tps = _timed_run(
-        lambda: ServingEngine(model, max_active=GATED_BATCH)
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy_report, legacy_tps = _timed_run(
-            lambda: ContinuousBatchingScheduler(model, max_active=GATED_BATCH)
-        )
-    # the policy-driven engine at FCFS must *be* the old scheduler: the whole
-    # report (tokens, steps, metrics, arena counters) is bit-identical, so
-    # step-domain throughput cannot regress by construction
-    assert report.to_json() == legacy_report.to_json(), (
-        "ServingEngine(FCFS) diverged from ContinuousBatchingScheduler"
-    )
+    best = float("inf")
+    for _ in range(REPEATS):
+        serving = ServingEngine(model, max_active=GATED_BATCH)
+        handles = serving.submit_many(stream)
+        start = time.perf_counter()
+        report = serving.run()
+        best = min(best, time.perf_counter() - start)
+    fcfs_tps = report.total_tokens / best
+    # the FCFS engine must emit exactly the solo generate() streams
+    for request, handle in zip(stream, handles):
+        assert handle.generated_tokens == generate(
+            model, request.prompt_tokens, max_new_tokens=request.max_new_tokens
+        ).generated_tokens, f"ServingEngine(FCFS) diverged for {request.request_id}"
 
     # fault hooks: disabled-vs-armed-idle overhead pair + 1% recovery trace
     faults_block = _faults_block(model, stream)
@@ -1257,7 +1283,7 @@ def test_batched_decode_throughput(benchmark):
     # policy grid: priority/deadline/aging service under one bursty trace
     policy_rows = _policy_rows(model)
 
-    # prefill grid: chunked batched prefill vs serial, wall-clock TTFT
+    # prefill grid: unbudgeted chunked prefill vs the serial pin + budgets
     prefill_block = _prefill_rows(model)
 
     # prefix-cache grid: shared-head trace cache on/off + divergent no-op
@@ -1282,7 +1308,6 @@ def test_batched_decode_throughput(benchmark):
         "weight_matrices": n_matrices,
         "serving_report": report.to_json(),
         "fcfs_engine_tokens_per_sec": fcfs_tps,
-        "old_scheduler_tokens_per_sec": legacy_tps,
         "policies": {
             "batch": GATED_BATCH,
             "requests": POLICY_REQUESTS,
@@ -1330,12 +1355,10 @@ def test_batched_decode_throughput(benchmark):
                 for name, r in policy_rows.items()
             ]
         )
-        + f"\nFCFS engine {fcfs_tps:.1f} tok/s vs old scheduler "
-        f"{legacy_tps:.1f} tok/s"
-        + "\nprefill TTFT (wall): serial p95 "
-        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms   batched p95 "
-        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms   "
-        f"({prefill_block['ttft_p95_speedup']:.2f}x)"
+        + f"\nFCFS engine {fcfs_tps:.1f} tok/s"
+        + "\nprefill TTFT (wall): p50 "
+        f"{prefill_block['batched']['ttft_wall_p50_ms']:.2f} ms   p95 "
+        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} ms"
         + "\n"
         + "\n".join(
             f"  budget={str(r['prefill_token_budget']):>4}: "
@@ -1420,12 +1443,6 @@ def test_batched_decode_throughput(benchmark):
             f"{row['kv_bytes_ratio']:.1f}x below stacking "
             f"(gate {ARENA_BYTES_GATE}x)"
         )
-    # CI gate: the policy layer must not tax the old FCFS wall-clock path at
-    # B=8 (same machinery after the redesign; 0.8 keeps timer noise out)
-    assert fcfs_tps >= 0.8 * legacy_tps, (
-        f"policy-driven engine slower than the old scheduler at "
-        f"B={GATED_BATCH}: {fcfs_tps:.1f} vs {legacy_tps:.1f} tok/s"
-    )
     # CI gate: priority service must demonstrably reorder the bursty trace --
     # high-priority p95 latency strictly below FCFS, with real preemptions
     # (all metrics are step-domain, so this is deterministic)
@@ -1445,20 +1462,6 @@ def test_batched_decode_throughput(benchmark):
         policy_rows["deadline"]["deadline_misses"]
         <= policy_rows["fcfs"]["deadline_misses"]
     ), "deadline policy misses more deadlines than FCFS"
-    # CI gate: chunked batched prefill must not lose to one-shot serial
-    # prefill on wall-clock TTFT p95 over the prefill-heavy bursty trace
-    # (PREFILL_TTFT_GATE absorbs scheduler noise in the best-of-3 samples).
-    # Token divergence and step-schedule divergence assert inside
-    # _prefill_rows, so correctness never rides on a timer.
-    assert (
-        prefill_block["batched"]["ttft_wall_p95_ms"]
-        <= PREFILL_TTFT_GATE * prefill_block["serial"]["ttft_wall_p95_ms"]
-    ), (
-        "batched prefill lost to serial prefill on TTFT p95: "
-        f"{prefill_block['batched']['ttft_wall_p95_ms']:.2f} vs "
-        f"{prefill_block['serial']['ttft_wall_p95_ms']:.2f} ms "
-        f"(gate {PREFILL_TTFT_GATE}x)"
-    )
     # CI gate: the prefix cache must not lose the cache-off TTFT p95 on the
     # shared-prefix trace (it skips most prompt rows, so it should win; the
     # gate only absorbs best-of-3 timer noise).  Bit-exactness of tokens,

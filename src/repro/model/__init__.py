@@ -2,7 +2,6 @@
 
 from .attention import (
     AttentionOutput,
-    BatchedAttentionOutput,
     ChunkedAttentionOutput,
     KVCache,
     MultiHeadAttention,
@@ -41,7 +40,6 @@ __all__ = [
     "KVCache",
     "MultiHeadAttention",
     "AttentionOutput",
-    "BatchedAttentionOutput",
     "ChunkedAttentionOutput",
     "causal_mask",
     "ragged_selection_mask",

@@ -10,6 +10,7 @@ attention, value-level top-k and bit-grained progressive prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -19,7 +20,6 @@ from .layers import Linear, softmax
 __all__ = [
     "KVCache",
     "AttentionOutput",
-    "BatchedAttentionOutput",
     "ChunkedAttentionOutput",
     "MultiHeadAttention",
     "causal_mask",
@@ -232,34 +232,21 @@ class AttentionOutput:
 
 
 @dataclass
-class BatchedAttentionOutput:
-    """Result of one fused decode step over ``B`` independent streams.
+class ChunkedAttentionOutput:
+    """Result of one ragged chunked-prefill step over ``B`` streams.
 
-    ``output`` is the merged-head context ``(B, hidden)`` *before* the output
-    projection; ``keys_attended`` / ``keys_total`` carry one entry per stream
-    so callers can split the batched step back into per-request statistics.
+    ``output`` is the merged-head context for *every chunk row*, flattened
+    to ``(total_rows, hidden)`` in the same stream order the queries came in
+    (stream 0's rows first), *before* the output projection.
+    ``row_keys_attended`` / ``row_keys_total`` carry each chunk row's
+    attended / causal key counts in the same flat order, so callers can
+    split the batched step back into per-request statistics and the prefix
+    cache can credit skipped rows bit-exactly.
     """
 
     output: np.ndarray
-    keys_attended: np.ndarray  # (B,) ints
-    keys_total: np.ndarray  # (B,) ints
-
-
-@dataclass
-class ChunkedAttentionOutput(BatchedAttentionOutput):
-    """Result of one ragged chunked-prefill step over ``B`` streams.
-
-    Same per-stream fields as :class:`BatchedAttentionOutput`, but
-    ``output`` is the merged-head context for *every chunk row*, flattened
-    back to ``(total_rows, hidden)`` in the same stream order the queries
-    came in (stream 0's rows first), rather than one row per stream.
-    ``row_keys_attended`` / ``row_keys_total`` carry one per-row int64 array
-    per stream (this chunk's rows only), for the prefix cache's bit-exact
-    metric crediting.
-    """
-
-    row_keys_attended: Optional[List[np.ndarray]] = None
-    row_keys_total: Optional[List[np.ndarray]] = None
+    row_keys_attended: np.ndarray  # (total_rows,) int64
+    row_keys_total: np.ndarray  # (total_rows,) int64
 
 
 class MultiHeadAttention:
@@ -294,7 +281,7 @@ class MultiHeadAttention:
         self.wk = wk or Linear.random(hidden_size, hidden_size, seed=base_seed + 2)
         self.wv = wv or Linear.random(hidden_size, hidden_size, seed=base_seed + 3)
         self.wo = wo or Linear.random(hidden_size, hidden_size, seed=base_seed + 4)
-        # KV bytes copied by decode_batch's per-session stacking fallback;
+        # KV bytes copied by prefill_batch's per-session stacking fallback;
         # the arena path's counterpart is ArenaStats.gather_bytes_copied
         self.stack_copy_bytes = 0
 
@@ -392,62 +379,98 @@ class MultiHeadAttention:
             row_keys_total=row_total,
         )
 
-    # -- fused batched decode -------------------------------------------------
+    # -- chunked ragged batched prefill ---------------------------------------
 
-    def decode_batch(
+    def prefill_batch(
         self,
         q: np.ndarray,
         k_new: np.ndarray,
         v_new: np.ndarray,
+        row_counts: np.ndarray,
         caches: List[KVCache],
+        total_lens: Optional[np.ndarray] = None,
         predictor: Optional[KeyPredictor] = None,
-    ) -> BatchedAttentionOutput:
-        """One decode step for ``B`` independent streams on pre-projected Q/K/V.
+    ) -> ChunkedAttentionOutput:
+        """Causal attention for ``B`` ragged chunks (prompt chunks and decode rows).
 
-        ``q``/``k_new``/``v_new`` hold one new token per stream, stacked to
-        ``(B, hidden)``; ``caches[b]`` is stream ``b``'s own KV cache (ragged
-        context lengths).  The new K/V rows are appended per stream and the
-        cached keys/values materialise as padded ``(B, max_len, hidden)``
-        tensors under a validity mask: when every cache is a handle onto one
-        shared :class:`~repro.serve.kv_arena.PagedKVArena`, that tensor is an
-        incrementally maintained view whose per-step refresh copies only the
-        ``B`` new rows; otherwise each stream's cache is stacked into a fresh
-        tensor (copy bytes tallied in :attr:`stack_copy_bytes`).  The score
-        and context contractions each run as one einsum over the whole
-        batch.  The softmax runs on each
-        stream's valid slice so every row is bit-identical to stepping that
-        stream alone through :meth:`__call__`'s decode path (padding
-        positions carry exactly-zero probability and cannot perturb the
-        contraction).
+        ``q``/``k_new``/``v_new`` hold every stream's chunk rows stacked flat
+        to ``(total_rows, hidden)`` (stream ``b`` owns ``row_counts[b]``
+        consecutive rows); ``caches[b]`` is stream ``b``'s KV cache, which may
+        already hold that stream's earlier chunks.  The new K/V rows are
+        appended first -- through one multi-row
+        :meth:`~repro.serve.kv_arena.PagedKVArena.append_batch` call when
+        every cache is a handle onto one shared arena -- and each chunk row
+        attends causally to its stream's full prefix (cached history plus the
+        chunk rows at or before it).  Shared-arena batches read the pool
+        through :meth:`~repro.serve.kv_arena.PagedKVArena.gather_batch`'s
+        incrementally maintained padded view; otherwise each stream's cache
+        is stacked into a fresh tensor (copy bytes tallied in
+        :attr:`stack_copy_bytes`).
 
-        Returns the merged-head context *before* the ``wo`` projection --
-        quantised execution applies its own calibrated output projection --
-        together with per-stream attended/total key counts.
+        ``total_lens[b]`` is the *final* prefill length of stream ``b`` (the
+        key width of the one-shot serial forward this chunk sequence
+        reproduces; a plain decode row passes its post-append length, the
+        default).  Each query row's softmax runs over exactly that width --
+        real logits on the causal prefix, ``-inf`` (hence exactly-zero
+        probability) everywhere else -- the same values the serial pass
+        reduces, whatever the chunking or batch composition.
+
+        Two contractions serve the batch.  Streams whose chunk is one row at
+        full width (``row_counts[b] == 1`` and ``total_lens[b]`` equal to the
+        post-append length: decode rows) share :meth:`decode_batch`, one
+        padded einsum over all of them, bit-identical to ``__call__``.
+        Every other stream runs :meth:`chunk_attention` at its *exact*
+        shapes; its softmax reduces a contiguous padded array where
+        ``__call__`` reduces einsum's strided output, so its rows may differ
+        from the serial pass by a few ulp (the quantised model's activation
+        rounding absorbs that).  Mixed batches are extremely ragged (one-row
+        streams next to whole-prompt chunks), so a padded ``(B, Lmax, W)``
+        einsum would spend most of its FLOPs on padding, while the
+        projections/FFN GEMMs (where the fused win lives) still run once for
+        the whole stacked batch.
+
+        Returns the merged-head context rows (before the output projection)
+        plus per-row attended/total key counts covering only this chunk's
+        rows, so partial statistics accumulate to the serial pass's totals.
         """
         q = np.atleast_2d(np.asarray(q, dtype=np.float64))
         k_new = np.atleast_2d(np.asarray(k_new, dtype=np.float64))
         v_new = np.atleast_2d(np.asarray(v_new, dtype=np.float64))
-        n_streams = q.shape[0]
-        if len(caches) != n_streams:
+        # per-stream bookkeeping runs on Python ints: batches are a handful
+        # of streams, where each tiny NumPy op would cost more than the loop
+        counts = np.asarray(row_counts, dtype=np.int64).tolist()
+        n_streams = len(counts)
+        if n_streams == 0:
+            raise ValueError("prefill_batch needs at least one stream")
+        if min(counts) < 1:
+            raise ValueError("every stream must contribute at least one row")
+        offsets = list(accumulate(counts, initial=0))
+        if offsets[-1] != q.shape[0]:
             raise ValueError(
-                f"expected {n_streams} caches, got {len(caches)}"
+                f"row_counts sum to {offsets[-1]} but got {q.shape[0]} rows"
             )
-        for b in range(n_streams):
-            caches[b].append(k_new[b], v_new[b])
-        lengths = np.array([cache.seq_len for cache in caches], dtype=np.int64)
-        max_len = int(lengths.max())
+        if len(caches) != n_streams:
+            raise ValueError(f"expected {n_streams} caches, got {len(caches)}")
 
+        # append the chunk rows: one batched multi-row arena append when every
+        # cache shares the pool, per-cache appends otherwise
         arena = caches[0].arena
         layer = caches[0].arena_layer
-        if arena is not None and all(
+        shared = arena is not None and all(
             c.arena is arena and c.arena_layer == layer for c in caches
-        ):
-            # zero-copy batched read: the arena's per-layer gather cache is
-            # refreshed with only the newly appended rows (O(B) per step)
-            keys, values, _ = arena.gather_batch(
-                layer, [c.arena_session for c in caches]
-            )
+        )
+        spans = list(zip(offsets, offsets[1:]))
+        k_blocks = [k_new[start:stop] for start, stop in spans]
+        v_blocks = [v_new[start:stop] for start, stop in spans]
+        if shared:
+            sessions = [c.arena_session for c in caches]
+            arena.append_batch(layer, sessions, k_blocks, v_blocks)
+            keys, values, lengths = arena.gather_batch(layer, sessions)
         else:
+            for cache, k_rows, v_rows in zip(caches, k_blocks, v_blocks):
+                cache.append(k_rows, v_rows)
+            lengths = np.array([c.seq_len for c in caches], dtype=np.int64)
+            max_len = int(lengths.max())
             keys = np.zeros((n_streams, max_len, self.hidden_size))
             values = np.zeros((n_streams, max_len, self.hidden_size))
             for b, cache in enumerate(caches):
@@ -456,17 +479,130 @@ class MultiHeadAttention:
             self.stack_copy_bytes += (
                 2 * int(lengths.sum()) * self.hidden_size * keys.itemsize
             )
-        valid = np.arange(max_len)[None, :] < lengths[:, None]
+        if total_lens is None:
+            total_lens = lengths
+        else:
+            total_lens = np.asarray(total_lens, dtype=np.int64)
+            if total_lens.shape != lengths.shape:
+                raise ValueError("total_lens must carry one entry per stream")
+            if (total_lens < lengths).any():
+                raise ValueError("total_lens must be >= each stream's length")
 
+        if offsets[-1] == n_streams and (
+            total_lens is lengths or (total_lens == lengths).all()
+        ):
+            # a pure decode step: one full-width row per stream, so the
+            # per-stream and per-row counts coincide
+            context, attended = self.decode_batch(q, keys, values, lengths, predictor)
+            return ChunkedAttentionOutput(context, attended, lengths)
+        one_row = (np.asarray(counts) == 1) & (total_lens == lengths)
+        n_total = offsets[-1]
+        flat = np.empty((n_total, self.hidden_size))
+        row_attended = np.empty(n_total, dtype=np.int64)
+        row_total = np.empty(n_total, dtype=np.int64)
+        rows = np.flatnonzero(one_row)
+        if rows.size:
+            # a contiguous run of streams (the usual case: decode rows follow
+            # the prefill chunks) is sliced as a view, not gathered
+            if rows.size == rows[-1] - rows[0] + 1:
+                pick = slice(int(rows[0]), int(rows[-1]) + 1)
+            else:
+                pick = rows
+            at = np.asarray(offsets)[rows]
+            flat[at], row_attended[at] = self.decode_batch(
+                q[at], keys[pick], values[pick], lengths[rows], predictor
+            )
+            row_total[at] = lengths[rows]
+        for b in np.flatnonzero(~one_row):
+            n_keys = int(lengths[b])
+            span = slice(*spans[b])
+            flat[span], row_attended[span], row_total[span] = self.chunk_attention(
+                q[span],
+                keys[b, :n_keys],
+                values[b, :n_keys],
+                int(total_lens[b]),
+                predictor,
+            )
+        return ChunkedAttentionOutput(flat, row_attended, row_total)
+
+    def chunk_attention(
+        self,
+        q_rows: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        width: int,
+        predictor: Optional[KeyPredictor] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One stream's chunk: causal attention of ``q_rows`` over its prefix.
+
+        ``keys``/``values`` hold the stream's whole materialised prefix (the
+        chunk's own rows last) and ``width`` is the serial pass's key width
+        the softmax reduces over (``>= len(keys)``).  Returns the merged-head
+        context rows plus per-row attended/total key counts.
+        """
+        n_rows, n_keys = q_rows.shape[0], keys.shape[0]
+        # causal chunk mask: row i (absolute position start + i) may attend
+        # keys 0..start+i -- causal_mask right-aligns it
+        mask = causal_mask(n_rows, n_keys)
+        full_mask = mask
+        if predictor is not None:
+            # each chunk row ranks its own prefix, fed the same key values
+            # the serial pass would (cache rows are exact copies)
+            full_mask = mask & ragged_selection_mask(predictor, q_rows, keys, mask)
+        scale = 1.0 / np.sqrt(self.head_dim)
+        scores = np.einsum(
+            "hqd,hkd->hqk", self._split_heads(q_rows), self._split_heads(keys)
+        ) * scale
+        # each row's softmax must reduce over exactly the serial pass's key
+        # width; keys past the materialised prefix are -inf like any other
+        # masked position, probability exactly 0
+        logits = np.full((self.n_heads, n_rows, width), -np.inf)
+        logits[..., :n_keys] = np.where(full_mask[None, :, :], scores, -np.inf)
+        probs = softmax(logits, axis=-1)
+        context = np.einsum(
+            "hqk,hkd->hqd", probs[..., :n_keys], self._split_heads(values)
+        )
+        return (
+            self._merge_heads(context),
+            full_mask.sum(axis=1).astype(np.int64),
+            mask.sum(axis=1).astype(np.int64),
+        )
+
+    def decode_batch(
+        self,
+        q: np.ndarray,
+        keys: np.ndarray,
+        values: np.ndarray,
+        lengths: np.ndarray,
+        predictor: Optional[KeyPredictor] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`prefill_batch`'s one-row kernel: ``B`` decode rows at once.
+
+        ``q`` holds one query row per stream ``(B, hidden)``; ``keys`` /
+        ``values`` are the streams' padded ``(B, >= max(lengths), hidden)``
+        prefixes (the query's own row last) and each row attends its whole
+        prefix.  The score and context contractions each run as one einsum
+        over the whole batch; the softmax runs on each stream's valid slice,
+        so every row is bit-identical to ``__call__`` decoding that stream
+        alone (padding positions carry exactly-zero probability and cannot
+        perturb the contraction).  Returns the merged-head context
+        ``(B, hidden)`` and per-stream attended key counts.
+        """
+        n_streams = q.shape[0]
+        max_len = int(lengths.max())
+        keys = keys[:, :max_len]
+        values = values[:, :max_len]
+        valid = np.arange(max_len)[None, :] < lengths[:, None]
         full_mask = valid
         if predictor is not None:
             # each stream has its own key set, so selection is inherently
-            # per-stream; the predictor sees the same key values the
-            # sequential path feeds it (padded rows are sliced away)
+            # per-stream; the predictor sees the same key values the serial
+            # path feeds it (padded rows are sliced away)
             selection = np.zeros_like(valid)
             for b in range(n_streams):
-                stream_keys = keys[b, : lengths[b]]
-                selected = np.asarray(predictor(q[b], stream_keys), dtype=np.int64)
+                selected = np.asarray(
+                    predictor(q[b], keys[b, : lengths[b]]), dtype=np.int64
+                )
                 selected = selected[selected < lengths[b]]
                 if selected.size == 0:
                     selected = np.array([lengths[b] - 1], dtype=np.int64)
@@ -483,7 +619,7 @@ class MultiHeadAttention:
         logits = np.einsum("bhd,bhkd->bhk", qh, kh) * scale
         logits = np.where(full_mask[:, None, :], logits, -np.inf)
         # softmax reductions must run over each stream's true context length
-        # to stay bit-identical to the sequential path; with uniform lengths
+        # to stay bit-identical to the serial path; with uniform lengths
         # there is no padding, so one batched call suffices
         if int(lengths.min()) == max_len:
             probs = softmax(logits, axis=-1)
@@ -494,157 +630,7 @@ class MultiHeadAttention:
                     logits[b, :, : lengths[b]], axis=-1
                 )
         context = np.einsum("bhk,bhkd->bhd", probs, vh)
-        merged = context.reshape(n_streams, self.hidden_size)
-        return BatchedAttentionOutput(
-            output=merged,
-            keys_attended=full_mask.sum(axis=1).astype(np.int64),
-            keys_total=lengths,
-        )
-
-    # -- chunked ragged batched prefill ---------------------------------------
-
-    def prefill_batch(
-        self,
-        q: np.ndarray,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        row_counts: np.ndarray,
-        caches: List[KVCache],
-        total_lens: Optional[np.ndarray] = None,
-        predictor: Optional[KeyPredictor] = None,
-    ) -> ChunkedAttentionOutput:
-        """Causal prefill attention for ``B`` ragged prompt chunks at once.
-
-        ``q``/``k_new``/``v_new`` hold every stream's chunk rows stacked flat
-        to ``(total_rows, hidden)`` (stream ``b`` owns ``row_counts[b]``
-        consecutive rows); ``caches[b]`` is stream ``b``'s KV cache, which may
-        already hold that stream's earlier chunks.  The new K/V rows are
-        appended first -- through one multi-row
-        :meth:`~repro.serve.kv_arena.PagedKVArena.append_batch` call when
-        every cache is a handle onto one shared arena -- and each chunk row
-        attends causally to its stream's full prefix (cached history plus the
-        chunk rows at or before it).
-
-        ``total_lens[b]`` is the *final* prefill length of stream ``b`` (the
-        key width of the one-shot serial forward this chunk sequence
-        reproduces; a plain decode row passes its post-append length).  Each
-        query row's softmax runs over exactly that width -- real logits on
-        the causal prefix, ``-inf`` (hence exactly-zero probability)
-        everywhere else -- which is the same array the serial pass reduces,
-        so every output row is **bit-identical** to the corresponding row of
-        ``__call__`` over the whole prompt, no matter how the prompt was
-        chunked or which streams shared the batch.
-
-        The score/softmax/context contractions run per stream at each
-        stream's *exact* shapes: mixed batches are extremely ragged (one-row
-        decode streams next to whole-prompt admission chunks), so a padded
-        ``(B, Lmax, W)`` einsum would spend most of its FLOPs on padding --
-        per-stream contraction keeps the attention cost identical to the
-        serial pass while the projections/FFN GEMMs (where the fused win
-        lives) still run once for the whole stacked batch.
-
-        Returns the merged-head context rows (flattened back to
-        ``(total_rows, hidden)``, before the output projection) plus
-        per-stream attended/total key counts covering only this chunk's rows,
-        so partial statistics accumulate to the serial pass's totals.
-        """
-        q = np.atleast_2d(np.asarray(q, dtype=np.float64))
-        k_new = np.atleast_2d(np.asarray(k_new, dtype=np.float64))
-        v_new = np.atleast_2d(np.asarray(v_new, dtype=np.float64))
-        row_counts = np.asarray(row_counts, dtype=np.int64)
-        n_streams = int(row_counts.size)
-        if n_streams == 0:
-            raise ValueError("prefill_batch needs at least one stream")
-        if (row_counts < 1).any():
-            raise ValueError("every stream must contribute at least one row")
-        offsets = np.concatenate([[0], np.cumsum(row_counts)])
-        if int(offsets[-1]) != q.shape[0]:
-            raise ValueError(
-                f"row_counts sum to {int(offsets[-1])} but got {q.shape[0]} rows"
-            )
-        if len(caches) != n_streams:
-            raise ValueError(f"expected {n_streams} caches, got {len(caches)}")
-
-        # append the chunk rows: one batched multi-row arena append when every
-        # cache shares the pool, per-cache appends otherwise
-        arena = caches[0].arena
-        layer = caches[0].arena_layer
-        shared = arena is not None and all(
-            c.arena is arena and c.arena_layer == layer for c in caches
-        )
-        k_blocks = [k_new[offsets[b] : offsets[b + 1]] for b in range(n_streams)]
-        v_blocks = [v_new[offsets[b] : offsets[b + 1]] for b in range(n_streams)]
-        if shared:
-            arena.append_batch(
-                layer, [c.arena_session for c in caches], k_blocks, v_blocks
-            )
-        else:
-            for b, cache in enumerate(caches):
-                cache.append(k_blocks[b], v_blocks[b])
-
-        lengths = np.array([cache.seq_len for cache in caches], dtype=np.int64)
-        if total_lens is None:
-            total_lens = lengths
-        else:
-            total_lens = np.asarray(total_lens, dtype=np.int64)
-            if total_lens.shape != lengths.shape:
-                raise ValueError("total_lens must carry one entry per stream")
-            if (total_lens < lengths).any():
-                raise ValueError("total_lens must be >= each stream's length")
-        if shared:
-            keys, values, _ = arena.gather_batch(
-                layer, [c.arena_session for c in caches]
-            )
-        else:
-            max_len = int(lengths.max())
-            keys = np.zeros((n_streams, max_len, self.hidden_size))
-            values = np.zeros((n_streams, max_len, self.hidden_size))
-            for b, cache in enumerate(caches):
-                keys[b, : lengths[b]] = cache.keys
-                values[b, : lengths[b]] = cache.values
-            self.stack_copy_bytes += (
-                2 * int(lengths.sum()) * self.hidden_size * keys.itemsize
-            )
-
-        scale = 1.0 / np.sqrt(self.head_dim)
-        flat = np.empty((int(offsets[-1]), self.hidden_size))
-        keys_attended = np.zeros(n_streams, dtype=np.int64)
-        keys_total = np.zeros(n_streams, dtype=np.int64)
-        row_attended: List[np.ndarray] = []
-        row_total: List[np.ndarray] = []
-        for b in range(n_streams):
-            n_rows, n_keys, w = int(row_counts[b]), int(lengths[b]), int(total_lens[b])
-            q_rows = q[offsets[b] : offsets[b + 1]]
-            # causal chunk mask: row i (absolute position start + i) may
-            # attend keys 0..start+i -- causal_mask right-aligns it
-            mask = causal_mask(n_rows, n_keys)
-            full_mask = mask
-            if predictor is not None:
-                # each chunk row ranks its own prefix, fed the same key
-                # values the serial pass would (cache rows are exact copies)
-                full_mask = mask & ragged_selection_mask(
-                    predictor, q_rows, keys[b, :n_keys], mask
-                )
-            qh = self._split_heads(q_rows)
-            kh = self._split_heads(keys[b, :n_keys])
-            vh = self._split_heads(values[b, :n_keys])
-            scores = np.einsum("hqd,hkd->hqk", qh, kh) * scale
-            # each row's softmax must reduce over exactly the serial pass's
-            # key width (total_lens[b]); keys past the materialised prefix
-            # are -inf like any other masked position, probability exactly 0
-            logits = np.full((self.n_heads, n_rows, w), -np.inf)
-            logits[..., :n_keys] = np.where(full_mask[None, :, :], scores, -np.inf)
-            probs = softmax(logits, axis=-1)
-            context = np.einsum("hqk,hkd->hqd", probs[..., :n_keys], vh)
-            flat[offsets[b] : offsets[b + 1]] = self._merge_heads(context)
-            row_attended.append(full_mask.sum(axis=1).astype(np.int64))
-            row_total.append(mask.sum(axis=1).astype(np.int64))
-            keys_attended[b] = int(row_attended[b].sum())
-            keys_total[b] = int(row_total[b].sum())
-        return ChunkedAttentionOutput(
-            output=flat,
-            keys_attended=keys_attended,
-            keys_total=keys_total,
-            row_keys_attended=row_attended,
-            row_keys_total=row_total,
+        return (
+            context.reshape(n_streams, self.hidden_size),
+            full_mask.sum(axis=1).astype(np.int64),
         )

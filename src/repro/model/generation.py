@@ -323,9 +323,16 @@ class IncrementalDecoder:
         Returns ``(prefill_tokens, decode_tokens)``: ``prefill_tokens[i]`` is
         the first sampled token when decoder ``i`` finished its prompt this
         step, ``None`` while chunks remain; ``decode_tokens[j]`` is stream
-        ``j``'s next token.  All decoders must share one model exposing
-        ``prefill_batch`` (and one predictor); the serving engine falls back
-        to one-shot serial prefill for anything else.
+        ``j``'s next token.  All decoders must share one model (and one
+        predictor).
+
+        A model without ``prefill_batch`` (the float
+        :class:`~repro.model.transformer.TransformerModel`, test stubs) runs
+        each stream's chunk alone through ``model.forward`` -- float GEMM
+        rows are not batch-invariant, so that is the only bit-exact path
+        there -- and takes each prompt in one chunk: a partial chunk through
+        ``forward`` would reduce its softmax over a narrower width than the
+        one-shot prefill and raises ``ValueError``.
 
         **Speculative decode** (``draft_tokens`` given, one token list per
         decode stream, empty lists allowed): stream ``j``'s chunk becomes
@@ -370,8 +377,6 @@ class IncrementalDecoder:
         model = everyone[0].model
         predictor = everyone[0].predictor
         fused = getattr(model, "prefill_batch", None)
-        if fused is None:
-            raise RuntimeError("model does not expose prefill_batch")
         if not all(d.model is model and d.predictor is predictor for d in everyone):
             raise RuntimeError("mixed prefill batches need one shared model")
 
@@ -384,6 +389,10 @@ class IncrementalDecoder:
                 raise ValueError(
                     f"chunk of {n} rows outside the remaining "
                     f"{decoder.prefill_remaining}-token prompt"
+                )
+            if fused is None and n != decoder.prefill_remaining:
+                raise ValueError(
+                    "a model without prefill_batch takes each prompt in one chunk"
                 )
             start = decoder._prefill_done
             chunks.append(decoder._prefill_pending[start : start + n])
@@ -400,22 +409,27 @@ class IncrementalDecoder:
             if drafts is not None
             else []
         )
-        if spec_idx:
+        if fused is None:
+            if spec_idx:
+                raise RuntimeError("draft verification needs a prefill_batch model")
+            outs = [
+                model.forward(chunk, caches=d.caches, predictor=predictor)
+                for chunk, d in zip(chunks, everyone)
+            ]
+            logits = np.stack([out[-1] for out, _ in outs])
+            stats_list = [stats for _, stats in outs]
+            row_logits = {}
+        else:
+            # decode rows (and verify chunks) end their serial pass, so the
+            # post-append width prefill_batch defaults to is theirs: only
+            # prompt chunks need their final width spelled out
             logits, stats_list, row_logits = fused(
                 chunks,
                 [d.caches for d in everyone],
                 predictor=predictor,
-                total_lens=totals,
+                total_lens=totals if prefills else None,
                 row_logits_for=spec_idx,
             )
-        else:
-            logits, stats_list = fused(
-                chunks,
-                [d.caches for d in everyone],
-                predictor=predictor,
-                total_lens=totals,
-            )
-            row_logits = {}
 
         prefill_out: List[Optional[int]] = []
         for i, (decoder, n) in enumerate(zip(prefills, chunk_sizes)):
@@ -484,50 +498,6 @@ class IncrementalDecoder:
         self.decode_stats.append(stats)
         self.last_logits = logits
         return greedy_sample(logits)
-
-    @staticmethod
-    def step_batch(
-        decoders: Sequence["IncrementalDecoder"], tokens: Sequence[int]
-    ) -> List[int]:
-        """Advance many decoders one token each through a single fused forward.
-
-        When every decoder shares one model exposing ``forward_batch`` (and
-        one predictor), the whole batch runs as **one** quantised forward
-        pass; each decoder's statistics, logits and sampled token are
-        bit-identical to calling :meth:`step` on it alone.  Models without a
-        fused path (or heterogeneous decoder sets) fall back to per-decoder
-        stepping, so callers can use this unconditionally.
-        """
-        decoders = list(decoders)
-        tokens = [int(t) for t in tokens]
-        if len(tokens) != len(decoders):
-            raise ValueError(
-                f"got {len(tokens)} tokens for {len(decoders)} decoders"
-            )
-        if not decoders:
-            return []
-        for decoder in decoders:
-            if decoder.prefill_stats is None:
-                raise RuntimeError("prefill() must run before step_batch()")
-        model = decoders[0].model
-        predictor = decoders[0].predictor
-        fused = getattr(model, "forward_batch", None)
-        homogeneous = all(
-            d.model is model and d.predictor is predictor for d in decoders
-        )
-        # a batch of one gains nothing from padding/stacking: plain stepping
-        # is the same computation without the batch bookkeeping
-        if fused is None or not homogeneous or len(decoders) == 1:
-            return [d.step(t) for d, t in zip(decoders, tokens)]
-        logits, stats_list = fused(
-            tokens, [d.caches for d in decoders], predictor=predictor
-        )
-        next_tokens: List[int] = []
-        for b, decoder in enumerate(decoders):
-            decoder.decode_stats.append(stats_list[b])
-            decoder.last_logits = logits[b : b + 1]
-            next_tokens.append(greedy_sample(logits[b]))
-        return next_tokens
 
     @property
     def keys_attended(self) -> int:

@@ -189,10 +189,11 @@ class QuantizedTransformer:
     ``sparse_predictor`` plugs a top-k / BGPP key selector into attention.
 
     Because every GEMM operand is an exact integer product, the model offers
-    a fused serving path: :meth:`forward_batch` advances ``B`` independent
-    decode streams through **one** forward pass (one GEMM per projection for
-    the whole batch, one batched attention per layer) with bit-identical
-    results to stepping each stream alone.  :meth:`bind_engine` additionally
+    a fused serving path: :meth:`prefill_batch` advances ``B`` independent
+    streams -- prompt chunks and one-row decode steps alike -- through
+    **one** forward pass (one GEMM per projection for the whole batch, one
+    ragged attention per layer) with bit-identical results to running each
+    stream alone through :meth:`forward`.  :meth:`bind_engine` additionally
     routes every integer product through a shared
     :class:`repro.core.engine.MCBPEngine`, so the BSTC-compressed weights are
     decoded at most once per layer via the decoded-plane cache and the
@@ -272,7 +273,7 @@ class QuantizedTransformer:
 
         Registers each quantised weight matrix (BSTC-compressed) under
         ``{prefix}layer{i}.{name}`` / ``{prefix}lm_head`` and makes
-        :meth:`forward` / :meth:`forward_batch` fetch their integer products
+        :meth:`forward` / :meth:`prefill_batch` fetch their integer products
         from :meth:`repro.core.engine.MCBPEngine.matmul`: the decoded-plane
         LRU cache then pays at most one BSTC decode per matrix no matter how
         many steps or co-resident streams reuse it, and the engine's
@@ -332,55 +333,14 @@ class QuantizedTransformer:
         caches_list: Sequence[List[KVCache]],
         predictor: Optional[KeyPredictor] = None,
     ) -> Tuple[np.ndarray, List[ForwardStats]]:
-        """One fused decode step for ``B`` independent generation streams.
+        """One decode row per stream: :meth:`prefill_batch` over 1-token chunks.
 
-        ``tokens[b]`` is stream ``b``'s newest accepted token and
-        ``caches_list[b]`` its per-layer KV caches.  The step stacks the
-        streams into a ``(B, hidden)`` activation matrix and runs **one**
-        quantised forward pass: each weight matrix is applied once to the
-        whole batch (one integer GEMM -- and, with a bound engine, at most
-        one BSTC decode -- per projection per step) and attention runs as one
-        ragged batched pass per layer over the per-stream caches (served
-        zero-copy from the shared pool when the caches are handles onto one
-        :class:`~repro.serve.kv_arena.PagedKVArena`).  Every GEMM
-        operand is an exact integer product and every float op is row-local,
-        so logits and per-stream statistics are bit-identical to stepping the
-        streams one at a time through :meth:`forward`.
-
-        Returns float logits ``(B, vocab)`` (one next-token row per stream)
-        and one :class:`ForwardStats` per stream.
+        The serving engine calls :meth:`prefill_batch` directly; this entry
+        point stays because ``perfbench`` instruments the model by name.
         """
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
-        n_streams = int(tokens.size)
-        if len(caches_list) != n_streams:
-            raise ValueError(
-                f"expected {n_streams} cache lists, got {len(caches_list)}"
-            )
-        hidden = self.model.embedding(tokens)  # (B, hidden)
-        stats = [ForwardStats(tokens_processed=1) for _ in range(n_streams)]
-        for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
-            normed = layer.norm_fn(hidden)
-            q = self._qlin_forward(qentry["wq"], f"layer{i}.wq", normed)
-            k = self._qlin_forward(qentry["wk"], f"layer{i}.wk", normed)
-            v = self._qlin_forward(qentry["wv"], f"layer{i}.wv", normed)
-
-            attn = layer.attention.decode_batch(
-                q, k, v, [caches[i] for caches in caches_list], predictor
-            )
-            proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn.output)
-            hidden = hidden + proj
-            for b in range(n_streams):
-                stats[b].keys_attended += int(attn.keys_attended[b])
-                stats[b].keys_total += int(attn.keys_total[b])
-
-            normed2 = layer.norm_fn(hidden)
-            up = self._qlin_forward(qentry["ffn_up"], f"layer{i}.ffn_up", normed2)
-            act = layer.activation(up)
-            down = self._qlin_forward(qentry["ffn_down"], f"layer{i}.ffn_down", act)
-            hidden = hidden + down
-        hidden = self.model.norm_fn(hidden)
-        logits = self._qlin_forward(self.lm_head, "lm_head", hidden)
-        return logits, stats
+        return self.prefill_batch(
+            [[int(t)] for t in tokens], caches_list, predictor=predictor
+        )
 
     def prefill_batch(
         self,
@@ -405,11 +365,15 @@ class QuantizedTransformer:
         ``total_lens[b]`` is the final length of the serial forward stream
         ``b`` is reproducing: the full prompt length for a chunked prefill,
         the post-append context length for a decode row (the default).  Every
-        float op is row-local and every softmax reduces over exactly the
-        serial pass's width, so logits and per-stream statistics are
-        bit-identical to running each stream's whole prompt through
-        :meth:`forward` in one shot -- regardless of chunk boundaries or
-        batch composition.
+        float op is row-local, every integer GEMM is exact and every softmax
+        reduces over exactly the serial pass's width, so per-stream
+        statistics equal running each stream's whole prompt through
+        :meth:`forward` in one shot, and so do the logits of every batch the
+        fuzz suites draw -- regardless of chunk boundaries or batch
+        composition.  (Decode rows reproduce :meth:`forward`'s attention bit
+        for bit; a prompt chunk's attention rows can differ from it by a few
+        ulp, see :meth:`MultiHeadAttention.prefill_batch`, which the next
+        projection's activation quantisation absorbs.)
 
         Returns float logits ``(B, vocab)`` (one row per stream, the logits
         of that stream's **last chunk row**) and one :class:`ForwardStats`
@@ -438,7 +402,8 @@ class QuantizedTransformer:
         if total_lens is not None:
             total_lens = np.asarray(total_lens, dtype=np.int64)
         hidden = self.model.embedding(np.concatenate(chunks))
-        stats = [ForwardStats(tokens_processed=int(n)) for n in row_counts]
+        row_attended = np.zeros(int(offsets[-1]), dtype=np.int64)
+        row_total = np.zeros(int(offsets[-1]), dtype=np.int64)
         for i, (layer, qentry) in enumerate(zip(self.model.layers, self.quant_layers)):
             normed = layer.norm_fn(hidden)
             q = self._qlin_forward(qentry["wq"], f"layer{i}.wq", normed)
@@ -456,19 +421,26 @@ class QuantizedTransformer:
             )
             proj = self._qlin_forward(qentry["wo"], f"layer{i}.wo", attn.output)
             hidden = hidden + proj
-            for b in range(n_streams):
-                stats[b].keys_attended += int(attn.keys_attended[b])
-                stats[b].keys_total += int(attn.keys_total[b])
-                if attn.row_keys_attended is not None:
-                    stats[b].add_rows(
-                        attn.row_keys_attended[b], attn.row_keys_total[b]
-                    )
+            row_attended += attn.row_keys_attended
+            row_total += attn.row_keys_total
 
             normed2 = layer.norm_fn(hidden)
             up = self._qlin_forward(qentry["ffn_up"], f"layer{i}.ffn_up", normed2)
             act = layer.activation(up)
             down = self._qlin_forward(qentry["ffn_down"], f"layer{i}.ffn_down", act)
             hidden = hidden + down
+        keys_attended = np.add.reduceat(row_attended, offsets[:-1])
+        keys_total = np.add.reduceat(row_total, offsets[:-1])
+        stats = [
+            ForwardStats(
+                keys_attended=int(keys_attended[b]),
+                keys_total=int(keys_total[b]),
+                tokens_processed=int(row_counts[b]),
+                row_keys_attended=row_attended[offsets[b] : offsets[b + 1]],
+                row_keys_total=row_total[offsets[b] : offsets[b + 1]],
+            )
+            for b in range(n_streams)
+        ]
         hidden = self.model.norm_fn(hidden)
         # only each stream's last chunk row can be sampled from; the LM head
         # is row-local, so projecting just those B rows is exact

@@ -164,7 +164,8 @@ class ArenaStats:
     counterpart of the stacking path's
     :attr:`repro.model.attention.MultiHeadAttention.stack_copy_bytes`.
     ``view_bytes_copied`` tracks the single-stream materialisations used by
-    the non-fused path (:meth:`PagedKVArena.session_keys` / ``session_values``).
+    per-stream ``forward`` (:meth:`PagedKVArena.session_keys` /
+    ``session_values``).
 
     Prefix-cache accounting: ``prefix_hits`` / ``prefix_misses`` count
     :meth:`PagedKVArena.acquire_prefix` outcomes, ``prefix_tokens_reused`` the
@@ -682,7 +683,7 @@ class PagedKVArena:
         ``scale = max|row| / 127`` (1.0 for an all-zero row, so dequantising
         reproduces it exactly); rounding is banker's ``np.rint``.  Per-row
         scales make each stored row independent of append chunking and page
-        placement, which is what keeps the fused/serial/snapshot paths
+        placement, which is what keeps the chunked/serial/snapshot paths
         bit-identical to each other in int8 mode.
         """
         amax = np.abs(rows).max(axis=1)

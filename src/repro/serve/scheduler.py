@@ -25,16 +25,17 @@ Each engine step:
    gated per-handle by the admission policy -- an admission enters the
    **chunked prefill pipeline** (state ``PREFILLING``) rather than running
    its whole prompt serially;
-4. builds one **mixed batch**: every decoding session's current token plus
-   up to ``prefill_token_budget`` prompt rows from the prefilling sessions
-   (head of the admission order first, long prompts split across steps), and
-   runs it as a **single fused forward** through
-   :meth:`~repro.model.transformer.QuantizedTransformer.prefill_batch` --
-   one GEMM per weight matrix for the whole step, one ragged chunked
-   attention per layer.  Sessions whose last chunk landed emit their first
-   token; pure-decode steps keep the dedicated ``forward_batch`` path, and
-   models without batched prefill fall back to one-shot serial prefill at
-   admission with identical tokens;
+4. builds one **mixed batch**: every decoding session's current token (a
+   one-row chunk) plus up to ``prefill_token_budget`` prompt rows from the
+   prefilling sessions (head of the admission order first, long prompts
+   split across steps), and runs it through one call,
+   :meth:`~repro.serve.session.GenerationSession.prefill_step_batch`.  On
+   the quantised model that is a **single fused forward**
+   (:meth:`~repro.model.transformer.QuantizedTransformer.prefill_batch`):
+   one GEMM per weight matrix for the whole step, one ragged attention per
+   layer.  Forward-only models run each stream's chunk through
+   ``model.forward`` instead, with whole prompts.  Sessions whose last
+   chunk landed emit their first token;
 5. retires finished sessions, freeing their slots -- and their KV arena
    pages -- for the next step.
 
@@ -44,19 +45,14 @@ layer's BSTC decode *and* its GEMM launch are paid once per step instead of
 once per session.  Session KV lives in a shared
 :class:`~repro.serve.kv_arena.PagedKVArena` by default, so each decode
 step's batched attention reads the paged pool through an incrementally
-maintained view (O(B) copy bytes per step) instead of re-stacking every
-session's full context.
+maintained view (O(B) copy bytes per decode step) instead of re-stacking
+every session's full context.
 
 The result of a run is a :class:`ServingReport` with per-request queueing
 delay, time-to-first-token, end-to-end latency, preemption and deadline-miss
 counts, plus aggregate throughput and a per-policy metrics block;
 :meth:`ServingReport.to_json` / :meth:`ServingReport.from_json` round-trip
 the report through the JSON format shared with the serving benchmarks.
-
-:class:`ContinuousBatchingScheduler` remains as a deprecated shim: it is a
-``ServingEngine`` pinned to FIFO admission + FCFS scheduling (bit-identical
-to the pre-policy scheduler) whose ``submit`` returns the raw
-:class:`~repro.serve.session.GenerationSession` for source compatibility.
 """
 
 from __future__ import annotations
@@ -92,12 +88,11 @@ __all__ = [
     "RequestHandle",
     "ServingReport",
     "ServingEngine",
-    "ContinuousBatchingScheduler",
 ]
 
-#: What the engine-side containment catches around serial-path session calls:
-#: injected faults plus the real KV-integrity detector.  Anything else is a
-#: genuine bug and must crash loudly, never be quarantined into a retry.
+#: What the schedule-time arena probe quarantines: injected faults plus the
+#: real KV-integrity detector.  Anything else is a genuine bug and must crash
+#: loudly, never be quarantined into a retry.
 _FAULT_TYPES = (FaultError, KVCorruptionError)
 
 TokenCallback = Callable[["RequestHandle", int, int], None]
@@ -381,30 +376,29 @@ class ServingEngine:
     model:
         Shared inference substrate (``forward``/``new_cache``), typically a
         :class:`~repro.model.transformer.TransformerModel` or
-        :class:`~repro.model.transformer.QuantizedTransformer`.
+        :class:`~repro.model.transformer.QuantizedTransformer`.  Every step
+        runs one mixed batch through
+        :meth:`~repro.serve.session.GenerationSession.prefill_step_batch`: a
+        model exposing ``prefill_batch`` runs it as one fused pass, a
+        forward-only model runs each stream's chunk through ``forward``
+        (whole prompts, one chunk each).
     max_active:
         Maximum number of concurrently decoding sessions (batch slots).
     predictor:
         Optional BGPP/top-k key predictor shared by all sessions.
-    fused:
-        Step all decoding sessions through one batched forward pass per
-        engine step (the default).  Models without ``forward_batch`` fall
-        back to per-session stepping automatically; ``fused=False`` forces
-        the per-session loop, which the benchmarks use as the baseline.
     arena:
         KV storage policy.  ``None`` (the default) auto-enables a shared
         :class:`~repro.serve.kv_arena.PagedKVArena` sized from
-        ``model.config`` whenever the fused batched path can consume it
-        (``fused=True`` and the model exposes ``forward_batch``) -- every
-        session's KV then lives in one paged pool, finished sessions return
-        their pages, and batched attention reads the pool zero-copy instead
-        of re-stacking per-session caches each step.  Per-session stepping
-        cannot read the pool in place (it would pay a full-context
-        materialisation per step), so auto mode keeps standalone caches
-        there.  ``True`` forces the arena (models without a ``config`` still
-        fall back), ``False`` disables it, and passing a
-        :class:`PagedKVArena` instance uses it directly (sharing one pool
-        across several engines is allowed).
+        ``model.config`` whenever the fused pass can consume it (the model
+        exposes ``prefill_batch``) -- every session's KV then lives in one
+        paged pool, finished sessions return their pages, and batched
+        attention reads the pool zero-copy instead of re-stacking
+        per-session caches each step.  Per-stream ``forward`` cannot read
+        the pool in place (it would pay a full-context materialisation per
+        step), so auto mode keeps standalone caches there.  ``True`` forces
+        the arena (models without a ``config`` still fall back), ``False``
+        disables it, and passing a :class:`PagedKVArena` instance uses it
+        directly (sharing one pool across several engines is allowed).
     page_size:
         Tokens per arena page when the engine builds the arena itself.
     max_pages:
@@ -461,7 +455,7 @@ class ServingEngine:
         :meth:`~repro.serve.kv_arena.PagedKVArena.truncate_session` rolls
         the rejected KV rows back, so the committed token stream is
         **bit-identical** to one-token decode for any drafter and any
-        ``k``.  Requires the chunked batched prefill pipeline and a KV
+        ``k``.  Requires a model exposing ``prefill_batch`` and a KV
         arena (``ValueError`` otherwise); ``None`` (the default) keeps
         plain one-token decode, byte-identical to an engine without the
         knob.
@@ -478,14 +472,9 @@ class ServingEngine:
         per step via
         :meth:`~repro.serve.policies.AdmissionPolicy.prefill_token_budget`).
         ``None`` (the default) completes every admitted prompt in its
-        admission step, preserving the serial path's step-domain schedule
-        exactly while still batching the work into one pass.
-    batched_prefill:
-        ``None`` (auto, the default) enables the chunked batched prefill
-        pipeline whenever the fused path is on and the model exposes
-        ``prefill_batch``; ``False`` forces one-shot serial prefill at
-        admission (the benchmark baseline).  Tokens and step-domain metrics
-        are bit-identical either way.
+        admission step.  A forward-only model takes whole prompts, so a
+        budget given for one raises ``ValueError``; policy overrides and
+        the watchdog throttle do not apply to it either.
     faults:
         Optional :class:`~repro.serve.faults.FaultPlan` (or a pre-built
         :class:`~repro.serve.faults.FaultInjector`) arming the engine's
@@ -516,14 +505,12 @@ class ServingEngine:
         model,
         max_active: int = 8,
         predictor: Optional[KeyPredictor] = None,
-        fused: bool = True,
         arena=None,
         page_size: int = 32,
         max_pages: Optional[int] = None,
         admission: Optional[AdmissionPolicy] = None,
         scheduling: Optional[SchedulingPolicy] = None,
         prefill_token_budget: Optional[int] = None,
-        batched_prefill: Optional[bool] = None,
         prefix_cache: bool = False,
         kv_dtype=None,
         kv_snapshots: bool = False,
@@ -544,23 +531,25 @@ class ServingEngine:
             raise ValueError("retry_backoff_steps must be >= 1")
         if retry_backoff_cap < retry_backoff_steps:
             raise ValueError("retry_backoff_cap must be >= retry_backoff_steps")
+        # forward-only models take whole prompts: a chunk budget would be
+        # silently unenforced on them
+        self.chunked_prefill = hasattr(model, "prefill_batch")
+        if prefill_token_budget is not None and not self.chunked_prefill:
+            raise ValueError(
+                "prefill_token_budget was given but the model lacks "
+                "prefill_batch, so prompts cannot be chunked; the budget "
+                "would be silently unenforced -- drop it or run a "
+                "prefill_batch model"
+            )
         self.model = model
         self.max_active = max_active
         self.predictor = predictor
-        self.fused = fused
         self.prefill_token_budget = prefill_token_budget
-        # like arena=True on a config-less model, an explicit True quietly
-        # falls back when the chunked pipeline cannot run (per-session
-        # stepping or no model support) -- tokens are identical either way
-        supported = fused and hasattr(model, "prefill_batch")
-        self.batched_prefill = supported and (
-            batched_prefill is None or bool(batched_prefill)
-        )
         self.admission = admission if admission is not None else FIFOAdmission()
         self.scheduling = scheduling if scheduling is not None else FCFSPolicy()
         config = getattr(model, "config", None)
         if arena is None:
-            arena = bool(fused and hasattr(model, "forward_batch"))
+            arena = self.chunked_prefill
         if arena is True:
             if config is None:
                 arena = None  # model shape unknown: standalone caches
@@ -593,7 +582,7 @@ class ServingEngine:
         if arena is None and kv_dtype is not None:
             raise ValueError(
                 "kv_dtype was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks forward_batch/config "
+                "(arena=False, or the model lacks prefill_batch/config "
                 "support); the pool dtype would be silently unapplied -- "
                 "drop kv_dtype or run an arena-capable model"
             )
@@ -601,12 +590,12 @@ class ServingEngine:
             raise ValueError(
                 "kv_snapshots=True requires a KV arena; the engine resolved "
                 "to standalone caches (arena=False, or the model lacks "
-                "forward_batch/config support)"
+                "prefill_batch/config support)"
             )
         if arena is None and max_pages is not None:
             raise ValueError(
                 "max_pages was given but the engine resolved to no KV arena "
-                "(arena=False, or the model lacks forward_batch/config "
+                "(arena=False, or the model lacks prefill_batch/config "
                 "support); the page budget would be silently unenforced -- "
                 "drop max_pages or run an arena-capable model"
             )
@@ -614,23 +603,21 @@ class ServingEngine:
             raise ValueError(
                 "prefix_cache=True requires a KV arena; the engine resolved "
                 "to standalone caches (arena=False, or the model lacks "
-                "forward_batch/config support)"
+                "prefill_batch/config support)"
             )
         self._speculative = resolve_speculation(speculative)
-        if self._speculative is not None and not self.batched_prefill:
+        if self._speculative is not None and not self.chunked_prefill:
             raise ValueError(
-                "speculative decode verifies draft rows through the chunked "
-                "batched prefill pipeline; the engine resolved to one-shot "
-                "prefill (fused=False, batched_prefill=False, or the model "
-                "lacks prefill_batch) -- drop speculative or enable the "
-                "fused batched path"
+                "speculative decode verifies draft rows through the fused "
+                "prefill_batch pass, which the model lacks -- drop "
+                "speculative or run a prefill_batch model"
             )
         if self._speculative is not None and arena is None:
             raise ValueError(
                 "speculative decode requires a KV arena (rejected draft "
                 "rows are rolled back via truncate_session); the engine "
                 "resolved to standalone caches (arena=False, or the model "
-                "lacks forward_batch/config support)"
+                "lacks prefill_batch/config support)"
             )
         if self._speculative is not None:
             self._drafter = self._speculative.drafter or NGramDrafter()
@@ -1128,15 +1115,14 @@ class ServingEngine:
             drafts.append(proposal)
         return drafts
 
-    def step(self) -> Dict[str, int]:
+    def step(self) -> Dict[str, List[int]]:
         """Advance one engine step; returns the tokens emitted per request.
 
-        With speculation off every value is the single ``int`` token the
-        request emitted this step; with ``speculative`` on, a decoding
-        session's value is the *list* of tokens its verified chunk committed
-        (prefilling sessions still emit a single ``int`` first token).
+        Every value is the list of tokens the request committed this step:
+        one token for a first token or a plain decode row, several for a
+        speculative chunk whose drafts were accepted.
         """
-        emitted: Dict[str, object] = {}
+        emitted: Dict[str, List[int]] = {}
         step = self.current_step
 
         # timeout reaper first: a request past its hard bound must not take
@@ -1240,145 +1226,91 @@ class ServingEngine:
 
         self._max_concurrency = max(self._max_concurrency, len(self._active))
 
-        prefill_rows = 0
-        if self.batched_prefill:
-            # admissions enter the chunked pipeline; older PREFILLING
-            # sessions come first so the queue head always finishes first
-            for handle in admitted:
-                session = handle.session
-                if session.state is SessionState.PREEMPTED:
-                    if session.has_snapshot:
-                        # page restore, zero re-prefill passes: an ACTIVE
-                        # session rejoins the decode batch this very step, a
-                        # mid-prefill one rejoins the chunk scan below with
-                        # its progress intact
-                        if session.resume_from_snapshot(step) is (
-                            SessionState.ACTIVE
-                        ):
-                            decoding.append(handle)
-                    else:
-                        session.begin_resume(step)
+        # admissions enter the chunked pipeline; older PREFILLING sessions
+        # come first so the queue head always finishes first
+        for handle in admitted:
+            session = handle.session
+            if session.state is SessionState.PREEMPTED:
+                if session.has_snapshot:
+                    # page restore, zero re-prefill passes: an ACTIVE session
+                    # rejoins the decode batch this very step, a mid-prefill
+                    # one rejoins the chunk scan below with its progress
+                    # intact
+                    if session.resume_from_snapshot(step) is SessionState.ACTIVE:
+                        decoding.append(handle)
                 else:
-                    session.begin_admit(step)
-            prefilling = [
-                h for h in self._active
-                if h.session.state is SessionState.PREFILLING
-            ]
-            # schedule-time arena probe: every session about to append KV
-            # rows this step (prefill chunks and decode rows alike) is
-            # tested before the fused forward; faulted ones never enter it
-            if self._faults is not None and self.arena is not None:
-                prefilling = self._check_arena_faults(prefilling, step)
-                decoding = self._check_arena_faults(decoding, step)
-            # spend the step's prefill-row budget in admission order: the
-            # head always progresses (its chunk is clamped to >= 1 row even
-            # under a zero-returning policy override, so the engine cannot
-            # livelock), long prompts split across steps, later sessions may
-            # wait a step entirely
+                    session.begin_resume(step)
+            else:
+                session.begin_admit(step)
+        prefilling = [
+            h for h in self._active if h.session.state is SessionState.PREFILLING
+        ]
+        # schedule-time arena probe: every session about to append KV rows
+        # this step (prefill chunks and decode rows alike) is tested before
+        # the fused forward; faulted ones never enter it
+        if self._faults is not None and self.arena is not None:
+            prefilling = self._check_arena_faults(prefilling, step)
+            decoding = self._check_arena_faults(decoding, step)
+        # spend the step's prefill-row budget in admission order: the head
+        # always progresses (its chunk is clamped to >= 1 row even under a
+        # zero-returning policy override, so the engine cannot livelock),
+        # long prompts split across steps, later sessions may wait a step
+        # entirely.  Forward-only models take whole prompts.
+        budget = None
+        if self.chunked_prefill:
             budget = self.admission.prefill_token_budget(self)
             if self.watchdog is not None:
                 budget = self.watchdog.throttle(budget)
-            chunked: List[RequestHandle] = []
-            chunk_sizes: List[int] = []
-            for handle in prefilling:
-                remaining = handle.session.decoder.prefill_remaining
-                if budget is None:
-                    take = remaining
-                else:
-                    cap = budget if chunked else max(budget, 1)
-                    take = min(remaining, cap)
-                if take <= 0:
-                    continue
-                chunked.append(handle)
-                chunk_sizes.append(take)
-                if budget is not None:
-                    budget -= take
-            prefill_rows = sum(chunk_sizes)
-            draft_lists: Optional[List[List[int]]] = None
-            if self._speculative is not None and decoding:
-                draft_lists = self._build_drafts(decoding)
-                if not any(draft_lists):
-                    # nothing proposed anywhere: plain one-token decode --
-                    # identical rows, no verify overhead, and pure-decode
-                    # steps keep the dedicated gather fast path below
-                    draft_lists = None
-            if chunked or draft_lists is not None:
-                emitted.update(
-                    GenerationSession.prefill_step_batch(
-                        [h.session for h in chunked],
-                        chunk_sizes,
-                        [h.session for h in decoding],
-                        step,
-                        draft_tokens=draft_lists,
-                    )
+        chunked: List[RequestHandle] = []
+        chunk_sizes: List[int] = []
+        for handle in prefilling:
+            remaining = handle.session.decoder.prefill_remaining
+            if budget is None:
+                take = remaining
+            else:
+                cap = budget if chunked else max(budget, 1)
+                take = min(remaining, cap)
+            if take <= 0:
+                continue
+            chunked.append(handle)
+            chunk_sizes.append(take)
+            if budget is not None:
+                budget -= take
+        prefill_rows = sum(chunk_sizes)
+        draft_lists: Optional[List[List[int]]] = None
+        if self._speculative is not None and decoding:
+            draft_lists = self._build_drafts(decoding)
+            if not any(draft_lists):
+                # nothing proposed anywhere: plain one-token decode rows --
+                # identical rows, no verify overhead
+                draft_lists = None
+        if chunked or decoding:
+            emitted.update(
+                GenerationSession.prefill_step_batch(
+                    [h.session for h in chunked],
+                    chunk_sizes,
+                    [h.session for h in decoding],
+                    step,
+                    draft_tokens=draft_lists,
                 )
-            elif decoding:
-                # no prefill rows this step: keep the dedicated decode path
-                # (and its incrementally maintained arena gather view)
-                emitted.update(
-                    GenerationSession.decode_step_batch(
-                        [h.session for h in decoding], step
-                    )
-                )
-            # fold this step's accept outcomes into the per-session
-            # throttles (quarantined commits left no outcome: a faulted
-            # step must not skew the acceptance window)
-            spec_proposed = spec_accepted = 0
-            if self._speculative is not None:
-                for handle in decoding:
-                    outcome = handle.session.last_spec_outcome
-                    if outcome is None:
-                        continue
-                    handle.session.last_spec_outcome = None
-                    proposed, accepted = outcome
-                    spec_proposed += proposed
-                    spec_accepted += accepted
-                    throttle = self._spec_state.get(handle.request_id)
-                    if throttle is not None:
-                        throttle.observe(proposed, accepted)
-            recipients = chunked + decoding
-        else:
-            if self._faults is not None and self.arena is not None:
-                admitted = self._check_arena_faults(admitted, step)
-                decoding = self._check_arena_faults(decoding, step)
-            for handle in admitted:
-                session = handle.session
-                try:
-                    if session.state is SessionState.PREEMPTED:
-                        if session.has_snapshot:
-                            # restore emits no token (pure page traffic);
-                            # the decode pass below produces this step's
-                            # token, matching the step-domain schedule of
-                            # the serial resume() it replaces
-                            session.resume_from_snapshot(step)
-                            decoding.append(handle)
-                            continue
-                        token = session.resume(step)
-                    else:
-                        token = session.admit(step)
-                except _FAULT_TYPES as exc:
-                    self._quarantine(handle, exc, step)
+            )
+        # fold this step's accept outcomes into the per-session throttles
+        # (quarantined commits left no outcome: a faulted step must not skew
+        # the acceptance window)
+        spec_proposed = spec_accepted = 0
+        if self._speculative is not None:
+            for handle in decoding:
+                outcome = handle.session.last_spec_outcome
+                if outcome is None:
                     continue
-                emitted[handle.request_id] = token
-            if decoding:
-                if self.fused:
-                    emitted.update(
-                        GenerationSession.decode_step_batch(
-                            [h.session for h in decoding], step
-                        )
-                    )
-                else:
-                    for handle in decoding:
-                        try:
-                            emitted[handle.request_id] = handle.session.decode_step(
-                                step
-                            )
-                        except _FAULT_TYPES as exc:
-                            self._quarantine(handle, exc, step)
-            admitted_ids = set(map(id, admitted))
-            recipients = admitted + [
-                h for h in decoding if id(h) not in admitted_ids
-            ]
+                handle.session.last_spec_outcome = None
+                proposed, accepted = outcome
+                spec_proposed += proposed
+                spec_accepted += accepted
+                throttle = self._spec_state.get(handle.request_id)
+                if throttle is not None:
+                    throttle.observe(proposed, accepted)
+        recipients = chunked + decoding
 
         # commit-time faults the batch loops quarantined per-session: route
         # each to retry-with-backoff or FAILED before callbacks/retirement,
@@ -1387,12 +1319,9 @@ class ServingEngine:
             self._route_commit_faults(recipients, step)
 
         for handle in recipients:
-            value = emitted.get(handle.request_id)
-            if value is None:
-                continue
-            # speculative decode commits a list per chunk; on_token still
-            # fires once per token, in commit order, same step timestamp
-            for token in value if isinstance(value, list) else (value,):
+            # on_token fires once per token, in commit order, same step
+            # timestamp (a speculative chunk commits several)
+            for token in emitted.get(handle.request_id, ()):
                 self._dispatch_token(handle, token, step)
 
         retired = 0
@@ -1409,9 +1338,7 @@ class ServingEngine:
 
         stats: Dict[str, int] = {
             "step": step,
-            "emitted": sum(
-                len(v) if isinstance(v, list) else 1 for v in emitted.values()
-            ),
+            "emitted": sum(len(v) for v in emitted.values()),
             "admitted": len(admitted),
             "preempted": len(victims),
             "decoded": len(decoding),
@@ -1521,55 +1448,3 @@ class ServingEngine:
             leftover_queued=self.n_queued,
             leftover_active=self.n_active,
         )
-
-
-# the shim's DeprecationWarning fires once per process, not once per
-# instantiation -- fuzz/golden suites build hundreds of shims and a warning
-# per construction drowns real diagnostics (tests reset this to re-observe)
-_shim_deprecation_warned = False
-
-
-class ContinuousBatchingScheduler(ServingEngine):
-    """Deprecated pre-policy front end; use :class:`ServingEngine`.
-
-    A :class:`ServingEngine` pinned to its defaults (FIFO admission, FCFS
-    scheduling, no preemption), which reproduces the original scheduler
-    bit-exactly -- tokens, :class:`RequestMetrics` and arena counters -- as
-    the golden and fuzz suites pin.  The only API difference is that
-    :meth:`submit` returns the raw :class:`GenerationSession` (the old
-    contract) instead of a :class:`RequestHandle`.  The deprecation warning
-    is emitted exactly once per process.
-    """
-
-    def __init__(
-        self,
-        model,
-        max_active: int = 8,
-        predictor: Optional[KeyPredictor] = None,
-        fused: bool = True,
-        arena=None,
-        page_size: int = 32,
-    ) -> None:
-        global _shim_deprecation_warned
-        if not _shim_deprecation_warned:
-            _shim_deprecation_warned = True
-            warnings.warn(
-                "ContinuousBatchingScheduler is deprecated; use ServingEngine "
-                "(policies: FIFOAdmission + FCFSPolicy reproduce it exactly)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        super().__init__(
-            model,
-            max_active=max_active,
-            predictor=predictor,
-            fused=fused,
-            arena=arena,
-            page_size=page_size,
-        )
-
-    def submit(self, request: Request) -> GenerationSession:  # type: ignore[override]
-        return super().submit(request).session
-
-    def submit_many(self, requests: Iterable[Request]) -> List[GenerationSession]:  # type: ignore[override]
-        return [self.submit(r) for r in requests]

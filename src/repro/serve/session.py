@@ -32,13 +32,14 @@ a policy eviction.
 Admission enters the **chunked prefill pipeline**: a ``PREFILLING`` session
 feeds its prompt to the model in ragged chunks (batched with every other
 prefilling and decoding session, one fused pass per engine step) and emits
-its first token the step the last chunk lands.  ``admit()``/``resume()``
-remain as the one-shot serial path for models without a batched prefill.
+its first token the step the last chunk lands.  Decoding sessions ride the
+same pass as one-row chunks, so :meth:`GenerationSession.prefill_step_batch`
+is the one way a session advances.
 
 Preemption is the mechanism behind priority/deadline scheduling policies: a
 preempted session -- mid-decode *or* mid-prefill -- *releases its KV
 storage* (arena pages return to the shared pool immediately) and snapshots
-only its generated tokens; :meth:`begin_resume` / :meth:`resume` re-prefill
+only its generated tokens; :meth:`begin_resume` re-prefills
 ``prompt + generated`` through a fresh decoder (through the same chunked
 batched pipeline as admissions), so the emitted token stream is identical to
 an unpreempted run while the KV budget of the victim is available to more
@@ -266,7 +267,7 @@ class GenerationSession:
     token out of one decode step, and no trailing forward pass runs once the
     decode budget (or EOS) is reached.  A request served through a session
     therefore produces bit-identical tokens to a solo ``generate()`` call --
-    including across :meth:`preempt`/:meth:`resume` cycles, whose re-prefill
+    including across :meth:`preempt`/:meth:`begin_resume` cycles, whose re-prefill
     recomputes exactly the prefix an unpreempted run would hold.
     """
 
@@ -301,9 +302,8 @@ class GenerationSession:
         self.fault_injector = None
         self.last_fault: Optional[Exception] = None
         self.failure: Optional[dict] = None
-        self._pending_token: Optional[int] = None
         # traffic counters of decoders retired by preemption (the re-prefill
-        # work of resume() is real served traffic and must stay visible)
+        # work of a resume is real served traffic and must stay visible)
         self._keys_attended_base = 0
         self._keys_total_base = 0
         # snapshot preemption: the off-arena KVSnapshot of a snapshot-preempted
@@ -319,23 +319,15 @@ class GenerationSession:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def admit(self, step: int) -> int:
-        """Prefill the prompt in one serial pass and emit the first token."""
-        if self.state is not SessionState.QUEUED:
-            raise RuntimeError(f"session {self.request.request_id!r} already admitted")
-        self.state = SessionState.ACTIVE
-        self.admitted_step = step
-        self._pending_token = self.decoder.prefill(self.request.prompt_tokens)
-        return self._commit(step)
-
     def begin_admit(self, step: int) -> None:
-        """Enter the chunked prefill pipeline instead of serial prefill.
+        """Enter the chunked prefill pipeline.
 
         The session moves to ``PREFILLING`` and holds a batch slot, but no
         forward pass runs yet: the engine feeds its prompt through
         :meth:`prefill_step_batch` in ragged chunks (sharing every step's
         fused pass with the decoding sessions) and the first token is emitted
-        the step the final chunk lands -- bit-identical to :meth:`admit`.
+        the step the final chunk lands -- bit-identical to a one-shot
+        prefill.
         """
         if self.state is not SessionState.QUEUED:
             raise RuntimeError(f"session {self.request.request_id!r} already admitted")
@@ -404,11 +396,11 @@ class GenerationSession:
     def _abandon_snapshot(self) -> None:
         """Fall back to re-prefill: drop the snapshot *and* the kept decoder.
 
-        Defensive twin of :meth:`_discard_snapshot` for the legacy resume
-        paths -- folding the kept decoder's traffic into the preemption bases
-        and releasing its (empty) arena session before a fresh decoder
+        Defensive twin of :meth:`_discard_snapshot` for the re-prefill
+        resume -- folding the kept decoder's traffic into the preemption
+        bases and releasing its (empty) arena session before a fresh decoder
         replaces it, so arena books stay balanced even if a caller routes a
-        snapshot-preempted session through ``begin_resume``/``resume``.
+        snapshot-preempted session through :meth:`begin_resume`.
         """
         if self.kv_snapshot is None:
             return
@@ -427,8 +419,8 @@ class GenerationSession:
         state it was evicted from -- ``ACTIVE`` sessions rejoin the decode
         batch this very step, ``PREFILLING`` sessions rejoin the chunked
         pipeline with their progress intact.  Returns the re-entered state
-        so the engine can route the session.  Unlike :meth:`resume` no
-        token is emitted here: restoring is pure page traffic, and the next
+        so the engine can route the session.  No token is emitted here:
+        restoring is pure page traffic, and the next
         fused pass produces the same token the uninterrupted schedule would
         have.
         """
@@ -442,21 +434,12 @@ class GenerationSession:
         self.state, self._resume_state = self._resume_state, None
         return self.state
 
-    def decode_step(self, step: int) -> int:
-        """Emit one more token (running a decode forward pass when needed)."""
-        if self.state is not SessionState.ACTIVE:
-            raise RuntimeError(
-                f"session {self.request.request_id!r} is not active ({self.state.value})"
-            )
-        self._pending_token = self.decoder.step(self.generated_tokens[-1])
-        return self._commit(step)
-
     def preempt(self, step: int, snapshot: bool = False) -> None:
         """Evict the session: release its KV storage, keep only the tokens.
 
         The arena pages (or standalone buffers) return to the pool right away;
-        the generated-token snapshot is all :meth:`resume` /
-        :meth:`begin_resume` needs to rebuild the stream.  Active *and
+        the generated-token snapshot is all :meth:`begin_resume` needs to
+        rebuild the stream.  Active *and
         mid-prefill* sessions can be preempted -- a prefilling victim's
         partial chunks are discarded with its pages (the KV rows *are* the
         progress) and the resume re-prefills from scratch.
@@ -490,8 +473,8 @@ snapshot_session`) and keeps its decoder, so
         The fault-recovery twin of :meth:`preempt` -- the faulted decoder's
         KV is untrusted (or was never allocated), so it is discarded
         wholesale and the session re-enters ``PREEMPTED``; the engine
-        requeues it with backoff and the eventual :meth:`begin_resume` /
-        :meth:`resume` re-prefills ``prompt + generated``, which is why a
+        requeues it with backoff and the eventual :meth:`begin_resume`
+        re-prefills ``prompt + generated``, which is why a
         retried request's token stream is bit-identical to a fault-free run.
         Counted in :attr:`retries` (not ``preemptions``: one is a policy
         decision, the other a failure).  Unlike preemption this is also
@@ -565,31 +548,6 @@ snapshot_session`) and keeps its decoder, so
         self.state = state
         self.finished_step = step
 
-    def resume(self, step: int) -> int:
-        """Re-admit a preempted session; emits its next token.
-
-        A fresh decoder prefills ``prompt + generated`` in one pass -- the
-        same prefix an unpreempted run would hold in its KV cache -- so the
-        token emitted here (and every one after it) is identical to what the
-        uninterrupted stream would have produced.
-        """
-        if self.state is not SessionState.PREEMPTED:
-            raise RuntimeError(
-                f"cannot resume session {self.request.request_id!r} "
-                f"({self.state.value})"
-            )
-        self._abandon_snapshot()
-        self.state = SessionState.ACTIVE
-        self.decoder = IncrementalDecoder(
-            self.model,
-            predictor=self.predictor,
-            arena=self.arena,
-            prefix_cache=self.prefix_cache,
-        )
-        replay = [int(t) for t in self.request.prompt_tokens] + self.generated_tokens
-        self._pending_token = self.decoder.prefill(replay)
-        return self._commit(step)
-
     def cancel(self, step: Optional[int] = None) -> None:
         """Abort the request and free its KV storage (terminal).
 
@@ -619,7 +577,7 @@ snapshot_session`) and keeps its decoder, so
         decoding: Sequence["GenerationSession"],
         step: int,
         draft_tokens: Optional[Sequence[Sequence[int]]] = None,
-    ) -> Dict[str, object]:
+    ) -> Dict[str, List[int]]:
         """One mixed engine step: prefill chunks plus decode rows, one pass.
 
         ``prefilling[i]`` (in ``PREFILLING`` state) advances by
@@ -627,15 +585,15 @@ snapshot_session`) and keeps its decoder, so
         one token, all through a single
         :meth:`~repro.model.generation.IncrementalDecoder.prefill_step_batch`
         fused forward.  Sessions whose final chunk landed move to ``ACTIVE``
-        and commit their first token exactly as :meth:`admit` would; decode
-        commits match :meth:`decode_step`.  Returns ``{request_id: token}``
-        for every token emitted this step (mid-prefill sessions emit
-        nothing).
+        and commit their first token; decoding sessions commit their next
+        one.  Returns ``{request_id: [tokens]}`` for every session that
+        committed this step (mid-prefill and quarantined sessions are
+        absent).
 
         ``draft_tokens`` (one proposal list per decoding session, empty
         lists allowed) switches the decode rows to speculative draft-verify
-        chunks: each decoding session's emitted value becomes the *list* of
-        tokens the accept rule committed this step (see
+        chunks: each decoding session's list then holds every token the
+        accept rule committed this step (see
         :meth:`IncrementalDecoder.prefill_step_batch`), bit-identical as a
         stream to the one-token path.
         """
@@ -660,102 +618,54 @@ snapshot_session`) and keeps its decoder, so
             [s.generated_tokens[-1] for s in decoding],
             draft_tokens=draft_tokens,
         )
-        emitted: Dict[str, object] = {}
+        emitted: Dict[str, List[int]] = {}
         for session, token in zip(prefilling, prefill_tokens):
             if token is None:
                 continue  # chunks remain; the session keeps its slot
             session.state = SessionState.ACTIVE
-            session._pending_token = token
-            emitted.update(session._commit_contained(step))
-        for j, (session, token) in enumerate(zip(decoding, decode_tokens)):
+            emitted.update(session._commit_contained([token], step))
+        for j, (session, out) in enumerate(zip(decoding, decode_tokens)):
             if draft_tokens is None:
-                session._pending_token = token
-                emitted.update(session._commit_contained(step))
+                emitted.update(session._commit_contained([out], step))
             else:
                 emitted.update(
-                    session._commit_spec_contained(
-                        token, len(draft_tokens[j]), step
-                    )
+                    session._commit_contained(out, step, len(draft_tokens[j]))
                 )
         return emitted
 
-    @staticmethod
-    def decode_step_batch(
-        sessions: Sequence["GenerationSession"], step: int
-    ) -> Dict[str, int]:
-        """Emit one token from every active session via a single fused step.
-
-        All sessions advance through
-        :meth:`~repro.model.generation.IncrementalDecoder.step_batch` -- one
-        quantised forward pass for the whole batch when the shared model
-        supports it, a per-session fallback otherwise -- and each session
-        commits its token exactly as :meth:`decode_step` would, so tokens,
-        lifecycle timestamps and traffic counters are bit-identical to
-        stepping the sessions one at a time.
-        """
-        sessions = list(sessions)
-        for session in sessions:
-            if session.state is not SessionState.ACTIVE:
-                raise RuntimeError(
-                    f"session {session.request.request_id!r} is not active "
-                    f"({session.state.value})"
-                )
-        next_tokens = IncrementalDecoder.step_batch(
-            [session.decoder for session in sessions],
-            [session.generated_tokens[-1] for session in sessions],
-        )
-        emitted: Dict[str, int] = {}
-        for session, token in zip(sessions, next_tokens):
-            session._pending_token = token
-            emitted.update(session._commit_contained(step))
-        return emitted
-
-    def _commit_contained(self, step: int) -> Dict[str, int]:
+    def _commit_contained(
+        self, tokens: List[int], step: int, proposed: int = 0
+    ) -> Dict[str, List[int]]:
         """Commit with per-session fault isolation for the batch loops.
 
         A fault raised by this session's commit (injected or the real KV
         integrity check) is parked on :attr:`last_fault` for the engine to
         route (retry / FAILED) instead of propagating -- one bad row must
         never abort its siblings' commits, which is what keeps an engine
-        step atomic for the surviving batch.  Returns ``{request_id: token}``
-        on success, ``{}`` when quarantined (the token is discarded: a
-        faulted step's output is untrusted).
+        step atomic for the surviving batch.  Returns ``{request_id:
+        committed_tokens}`` on success, ``{}`` when quarantined: a faulted
+        step commits *nothing* (its output is untrusted), so the retry
+        re-prefills the fault-free prefix.
         """
         try:
-            return {self.request.request_id: self._commit(step)}
+            return {self.request.request_id: self._commit(tokens, step, proposed)}
         except _FAULT_TYPES as exc:
             self.last_fault = exc
             return {}
 
-    def _commit_spec_contained(
-        self, tokens: List[int], proposed: int, step: int
-    ) -> Dict[str, List[int]]:
-        """Speculative twin of :meth:`_commit_contained`.
+    def _commit(self, tokens: List[int], step: int, proposed: int = 0) -> List[int]:
+        """Commit one step's emitted tokens; returns the committed list.
 
-        ``tokens`` is the verified emission list of one speculative decode
-        chunk (``accepted + 1`` tokens, the accept rule's output) and
-        ``proposed`` how many drafts were verified to get it.  Returns
-        ``{request_id: committed_tokens}`` on success (possibly shorter than
-        ``tokens`` when EOS or the decode budget lands mid-list), ``{}``
-        when quarantined -- a faulted step commits *nothing*, exactly like
-        the one-token path, so the retry re-prefills the fault-free prefix.
-        """
-        try:
-            return {self.request.request_id: self._commit_spec(tokens, proposed, step)}
-        except _FAULT_TYPES as exc:
-            self.last_fault = exc
-            return {}
-
-    def _commit_spec(self, tokens: List[int], proposed: int, step: int) -> List[int]:
-        """Commit a verified multi-token emission; returns the committed list.
-
-        Tokens land in order with the same EOS / ``max_new_tokens`` checks
-        :meth:`_commit` applies per token; the first terminal token stops the
-        commit and discards the rest of the list (their KV rows are freed
-        with the session at retirement).  All committed tokens carry this
-        step's timestamp -- one fused pass produced them.  Draft counters
-        and :attr:`last_spec_outcome` update only on success, so a
-        quarantined step never skews the acceptance window.
+        ``tokens`` is a single token (a prefill's first token or a plain
+        decode row's next one) or, after ``proposed`` drafts were verified,
+        a speculative chunk's ``accepted + 1`` tokens.  Tokens land in order
+        with the EOS / ``max_new_tokens`` checks; the first terminal token
+        stops the commit and discards the rest of the list (their KV rows are
+        freed with the session at retirement).  All committed tokens carry
+        this step's timestamp -- one fused pass produced them.  Draft
+        counters and :attr:`last_spec_outcome` update only on a successful
+        speculative commit, so a quarantined step never skews the acceptance
+        window.
         """
         if self.fault_injector is not None:
             self._inject_and_verify(step, extra_rows=len(tokens) - 1)
@@ -773,12 +683,12 @@ snapshot_session`) and keeps its decoder, so
                 self.state = SessionState.FINISHED
                 self.finished_step = step
                 break
-        accepted = len(tokens) - 1
         if proposed > 0:
+            accepted = len(tokens) - 1
             self.draft_proposed += int(proposed)
             self.draft_accepted += accepted
             self.spec_steps += 1
-        self.last_spec_outcome = (int(proposed), accepted)
+            self.last_spec_outcome = (int(proposed), accepted)
         return committed
 
     def _inject_and_verify(self, step: int, extra_rows: int = 0) -> None:
@@ -834,21 +744,6 @@ snapshot_session`) and keeps its decoder, so
             return
         garbage = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
         caches[0].append(garbage, garbage)
-
-    def _commit(self, step: int) -> int:
-        if self.fault_injector is not None:
-            self._inject_and_verify(step)
-        token = int(self._pending_token)
-        self.generated_tokens.append(token)
-        if self.first_token_step is None:
-            self.first_token_step = step
-        eos = self.request.eos_token
-        if (eos is not None and token == eos) or (
-            len(self.generated_tokens) >= self.request.max_new_tokens
-        ):
-            self.state = SessionState.FINISHED
-            self.finished_step = step
-        return token
 
     def release_kv(self) -> None:
         """Free the session's KV storage (arena pages or standalone buffers).

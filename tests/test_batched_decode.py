@@ -7,11 +7,15 @@ Pins every new batched fast path bit-exact against its sequential reference:
   and ``B = 1``;
 * the predictors' ``select_ragged`` batch entry points vs row-by-row calls,
   and the attention modules that consume them;
-* ``QuantizedTransformer.forward_batch`` / ``IncrementalDecoder.step_batch``
-  vs stepping each stream alone (tokens, logits and per-stream statistics);
-* the fused continuous-batching scheduler vs per-session stepping over random
-  traffic (ragged context lengths, sessions finishing mid-run, B = 1 and
-  all-finished steps);
+* one-row decode steps through ``QuantizedTransformer.prefill_batch`` /
+  ``IncrementalDecoder.prefill_step_batch`` vs stepping each stream alone
+  (tokens, logits and per-stream statistics);
+* ``MultiHeadAttention.prefill_batch`` on mixed batches vs the per-stream
+  contraction and vs ``__call__`` (one-row decode streams, mid-prompt
+  one-row chunks, multi-row chunks, ragged lengths, BGPP on and off);
+* the serving engine vs solo ``generate()`` over random traffic (ragged
+  context lengths, sessions finishing mid-run, B = 1 and all-finished
+  steps);
 * ``MCBPEngine.matmul`` vs the bit-serial ``gemm`` path and its counters;
 * ``ServingReport`` JSON round-tripping (the schema shared between the
   example and the serving benchmark).
@@ -32,13 +36,15 @@ from repro.core.bgpp import (
 from repro.core.engine import MCBPEngine
 from repro.model import (
     KVCache,
+    Linear,
     MultiHeadAttention,
     QuantizedTransformer,
     TransformerModel,
+    generate,
     get_model_config,
 )
 from repro.model.generation import IncrementalDecoder
-from repro.serve import ContinuousBatchingScheduler, Request, ServingReport
+from repro.serve import PagedKVArena, Request, ServingEngine, ServingReport
 from repro.serve.session import GenerationSession
 from repro.workloads import sample_requests
 
@@ -203,11 +209,17 @@ class TestKVCache:
         assert np.array_equal(cache.keys, np.ones((2, 4)))
 
 
+def _decode_rows(decoders, tokens):
+    """One decode row per stream through the mixed pass; next tokens."""
+    _, out = IncrementalDecoder.prefill_step_batch([], [], decoders, tokens)
+    return out
+
+
 class TestStepBatch:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_bit_exact_vs_sequential_ragged_prompts(self, tiny_quantized, seed):
-        """Fused stepping == per-stream stepping for ragged context lengths."""
+        """One-row prefill_batch steps == per-stream stepping, ragged contexts."""
         rng = np.random.default_rng(seed)
         n_streams = int(rng.integers(1, 7))  # includes B=1
         vocab = tiny_quantized.config.vocab_size
@@ -228,7 +240,7 @@ class TestStepBatch:
         assert fused_tokens == seq_tokens
 
         for _ in range(int(rng.integers(1, 6))):
-            fused_tokens = IncrementalDecoder.step_batch(fused_decoders, fused_tokens)
+            fused_tokens = _decode_rows(fused_decoders, fused_tokens)
             seq_tokens = [d.step(t) for d, t in zip(seq_decoders, seq_tokens)]
             assert fused_tokens == seq_tokens
         for fused_d, seq_d in zip(fused_decoders, seq_decoders):
@@ -240,15 +252,15 @@ class TestStepBatch:
                 assert fs.tokens_processed == ss.tokens_processed
 
     def test_empty_batch_is_noop(self):
-        assert IncrementalDecoder.step_batch([], []) == []
+        assert IncrementalDecoder.prefill_step_batch([], []) == ([], [])
 
     def test_requires_prefill_and_matching_lengths(self, tiny_quantized):
         decoder = IncrementalDecoder(tiny_quantized)
         with pytest.raises(RuntimeError, match="prefill"):
-            IncrementalDecoder.step_batch([decoder], [0])
+            _decode_rows([decoder], [0])
         decoder.prefill([1, 2])
         with pytest.raises(ValueError, match="tokens"):
-            IncrementalDecoder.step_batch([decoder], [0, 1])
+            _decode_rows([decoder], [0, 1])
 
     def test_falls_back_without_forward_batch(self):
         class MinimalModel:
@@ -273,13 +285,130 @@ class TestStepBatch:
             d = IncrementalDecoder(model)
             tokens.append(d.prefill([start]))
             decoders.append(d)
-        assert IncrementalDecoder.step_batch(decoders, tokens) == [5, 9]
+        # each stream runs alone through forward: one decode row each
+        assert _decode_rows(decoders, tokens) == [5, 9]
+        # a whole prompt rides the same call; a partial one cannot
+        fresh = IncrementalDecoder(model)
+        fresh.begin_prefill([1, 2, 3])
+        with pytest.raises(ValueError, match="one chunk"):
+            IncrementalDecoder.prefill_step_batch([fresh], [2])
+        out, _ = IncrementalDecoder.prefill_step_batch([fresh], [3])
+        assert out == [4]
+
+
+def _mixed_attention_case(rng, with_arena):
+    """A random mixed ``prefill_batch`` call's streams.
+
+    Every stream owns a random prompt of ``L`` hidden rows; its chunk is one
+    of: a full-width decode row (the last row, ``total_lens == length``), a
+    one-row mid-prompt chunk (``total_lens > length``) or a multi-row chunk,
+    with the rows before the chunk already cached.  The module gets an
+    identity output projection, so ``__call__`` over the whole prompt yields
+    exactly the pre-projection context ``prefill_batch`` returns.
+    Projections run once over each whole prompt and are sliced, so both
+    sides see bit-identical Q/K/V rows.
+    """
+    hidden, heads = 16, 4
+    attn = MultiHeadAttention(hidden, heads, seed=int(rng.integers(0, 1000)))
+    attn.wo = Linear(np.eye(hidden), np.zeros(hidden))
+    arena = (
+        PagedKVArena(n_layers=1, hidden_size=hidden, page_size=4)
+        if with_arena
+        else None
+    )
+    streams = []
+    for _ in range(int(rng.integers(1, 7))):
+        length = int(rng.integers(1, 21))
+        kind = rng.choice(["decode", "mid_row", "chunk"])
+        if kind == "decode" or length == 1:
+            start, n = length - 1, 1
+        elif kind == "mid_row":
+            start, n = int(rng.integers(0, length - 1)), 1
+        else:
+            start = int(rng.integers(0, length - 1))
+            n = int(rng.integers(2, length - start + 1))
+        x = rng.normal(size=(length, hidden))
+        q, k, v = attn.wq(x), attn.wk(x), attn.wv(x)
+        cache = arena.new_session_caches()[0] if arena is not None else KVCache()
+        if start:
+            cache.append(k[:start], v[:start])
+        streams.append((x, q, k, v, start, n, cache))
+    return attn, streams
+
+
+class TestMixedPrefillAttention:
+    """``MultiHeadAttention.prefill_batch`` is bit-exact on mixed batches.
+
+    Full-width one-row streams (decode rows) share the padded decode
+    contraction and must reproduce the serial pass (``__call__``, the
+    attention ``forward`` runs) bit for bit.  Every other stream runs the
+    per-stream contraction and must reproduce :meth:`chunk_attention` bit for
+    bit.  Per-row key counts match both oracles for every stream.
+
+    The per-stream contraction reduces its softmax over a contiguous padded
+    logits array, the serial pass over einsum's strided output, so chunk
+    rows may differ from ``__call__`` by a few ulp; they are held to that
+    tolerance only.
+    """
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_mixed_batch_bit_exact(self, seed, with_arena, bgpp):
+        rng = np.random.default_rng(seed)
+        attn, streams = _mixed_attention_case(rng, with_arena)
+        predictor = make_bgpp_predictor(alpha=0.6, rounds=3) if bgpp else None
+        chunk = [slice(start, start + n) for *_, start, n, _ in streams]
+        out = attn.prefill_batch(
+            np.vstack([s[1][c] for s, c in zip(streams, chunk)]),
+            np.vstack([s[2][c] for s, c in zip(streams, chunk)]),
+            np.vstack([s[3][c] for s, c in zip(streams, chunk)]),
+            [n for *_, n, _ in streams],
+            [cache for *_, cache in streams],
+            total_lens=[x.shape[0] for x, *_ in streams],
+            predictor=predictor,
+        )
+        offset = 0
+        for b, (x, q, k, v, start, n, _) in enumerate(streams):
+            rows = out.output[offset : offset + n]
+            offset += n
+            end = start + n
+            context, attended, total = attn.chunk_attention(
+                q[start:end], k[:end], v[:end], x.shape[0], predictor
+            )
+            serial = attn(x, cache=KVCache(), predictor=predictor)
+            if end == x.shape[0] and n == 1:
+                exact, close = serial.output[start:end], context
+            else:
+                exact, close = context, serial.output[start:end]
+            assert np.array_equal(rows, exact), f"stream {b} rows differ"
+            np.testing.assert_allclose(rows, close, rtol=1e-12, atol=1e-15)
+            for ref_attended, ref_total in (
+                (attended, total),
+                (serial.row_keys_attended[start:end], serial.row_keys_total[start:end]),
+            ):
+                span = slice(offset - n, offset)
+                assert np.array_equal(out.row_keys_attended[span], ref_attended)
+                assert np.array_equal(out.row_keys_total[span], ref_total)
+
+
+def _solo_tokens(model, requests, predictor=None):
+    return [
+        generate(
+            model, r.prompt_tokens, max_new_tokens=r.max_new_tokens, predictor=predictor
+        ).generated_tokens
+        for r in requests
+    ]
 
 
 class TestFusedScheduler:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_fused_run_bit_exact_vs_sequential(self, tiny_quantized, seed):
+        """The engine's one step call == solo sequential ``generate()``."""
         rng = np.random.default_rng(seed)
         requests = sample_requests(
             int(rng.integers(2, 10)),
@@ -288,43 +417,40 @@ class TestFusedScheduler:
             seed=int(rng.integers(0, 1000)),
         )
         max_active = int(rng.integers(1, 9))
-        fused = ContinuousBatchingScheduler(tiny_quantized, max_active=max_active)
-        sequential = ContinuousBatchingScheduler(
-            tiny_quantized, max_active=max_active, fused=False
+        engine = ServingEngine(tiny_quantized, max_active=max_active)
+        handles = engine.submit_many(requests)
+        report = engine.run()
+        assert [h.generated_tokens for h in handles] == _solo_tokens(
+            tiny_quantized, requests
         )
-        fused_sessions = fused.submit_many(requests)
-        seq_sessions = sequential.submit_many(requests)
-        fused_report = fused.run()
-        seq_report = sequential.run()
-        assert fused_report.steps == seq_report.steps
-        for fs, ss in zip(fused_sessions, seq_sessions):
-            assert fs.generated_tokens == ss.generated_tokens
-            assert fs.to_metrics() == ss.to_metrics()
+        for metrics in report.requests:
+            # every prompt lands in its admission step; one token per step
+            assert metrics.prefill_steps == 0
+            assert metrics.latency_steps == (
+                metrics.queue_steps + metrics.n_generated - 1
+            )
 
     def test_fused_with_bgpp_predictor_bit_exact(self, tiny_quantized):
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
         requests = sample_requests(
             8, vocab_size=tiny_quantized.config.vocab_size, mean_interarrival=0.5, seed=4
         )
-        runs = []
-        for fused in (True, False):
-            sched = ContinuousBatchingScheduler(
-                tiny_quantized, max_active=4, predictor=predictor, fused=fused
-            )
-            sessions = sched.submit_many(requests)
-            sched.run()
-            runs.append([s.generated_tokens for s in sessions])
-        assert runs[0] == runs[1]
+        engine = ServingEngine(tiny_quantized, max_active=4, predictor=predictor)
+        handles = engine.submit_many(requests)
+        engine.run()
+        assert [h.generated_tokens for h in handles] == _solo_tokens(
+            tiny_quantized, requests, predictor
+        )
 
-    def test_decode_step_batch_requires_active_sessions(self, tiny_quantized):
+    def test_prefill_step_batch_requires_active_sessions(self, tiny_quantized):
         request = Request("r0", prompt_tokens=[1, 2], max_new_tokens=4)
         session = GenerationSession(request, tiny_quantized)
         with pytest.raises(RuntimeError, match="not active"):
-            GenerationSession.decode_step_batch([session], step=0)
+            GenerationSession.prefill_step_batch([], [], [session], step=0)
 
     def test_all_finished_step_emits_nothing(self, tiny_quantized):
         """A drained scheduler step (no queued, no active) is a no-op."""
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=4)
+        sched = ServingEngine(tiny_quantized, max_active=4)
         sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=1))
         sched.run()
         assert not sched.has_work
@@ -337,7 +463,7 @@ class TestFusedScheduler:
         engine = MCBPEngine(group_size=4, weight_bits=8)
         model.bind_engine(engine)
         engine.codec.reset_counters()
-        sched = ContinuousBatchingScheduler(model, max_active=4)
+        sched = ServingEngine(model, max_active=4)
         sched.submit_many(
             Request(f"r{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=6)
             for i in range(4)
@@ -419,7 +545,7 @@ class TestEngineMatmul:
 
 class TestServingReportJson:
     def test_round_trip(self, tiny_quantized):
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=3)
+        sched = ServingEngine(tiny_quantized, max_active=3)
         sched.submit_many(
             sample_requests(
                 6,
@@ -446,7 +572,7 @@ class TestServingReportJson:
     def test_json_is_serialisable(self, tiny_quantized):
         import json
 
-        sched = ContinuousBatchingScheduler(tiny_quantized, max_active=2)
+        sched = ServingEngine(tiny_quantized, max_active=2)
         sched.submit(Request("r0", prompt_tokens=[1, 2, 3], max_new_tokens=3))
         report = sched.run()
         rebuilt = ServingReport.from_json(json.loads(json.dumps(report.to_json())))

@@ -9,8 +9,9 @@ tests pin its core contract three ways:
   chunkings (including mixed decode+prefill batches) reproduces the one-shot
   serial forward bit-exactly: logits, KV rows and per-stream statistics;
 * **engine layer** -- a ``ServingEngine`` under any ``prefill_token_budget``
-  emits the same tokens as the serial-prefill engine and as solo
-  ``generate()`` runs, with TTFT split into its queue/prefill components;
+  emits the same tokens as solo ``generate()`` runs, with TTFT split into
+  its queue/prefill components, and with no budget it reproduces the
+  one-shot serial prefill schedule pinned below;
 * **edge cases** -- prompt shorter than one chunk, prompt exactly a page
   multiple, cancel mid-prefill, preempt-then-resume mid-prefill; all fuzzed
   under the deterministic hypothesis profile the scheduler suite uses.
@@ -231,8 +232,8 @@ class TestModelLayerBitIdentity:
         assert arena.stats.pages_in_use == 0
 
 
-def _run_engine(model, requests, max_active=4, budget=None, batched=True,
-                policy="fcfs", predictor=None):
+def _run_engine(model, requests, max_active=4, budget=None, policy="fcfs",
+                predictor=None):
     admission, scheduling = make_policies(policy)
     engine = ServingEngine(
         model,
@@ -242,11 +243,24 @@ def _run_engine(model, requests, max_active=4, budget=None, batched=True,
         scheduling=scheduling,
         page_size=4,
         prefill_token_budget=budget,
-        batched_prefill=batched,
     )
     handles = engine.submit_many(requests)
     report = engine.run()
     return handles, report, engine
+
+
+class _ForwardOnlyStub:
+    """forward/new_cache only (no prefill_batch, no config): next = last + 1."""
+
+    def new_cache(self):
+        return []
+
+    def forward(self, token_ids, caches=None, predictor=None):
+        from repro.model.transformer import ForwardStats
+
+        logits = np.zeros((len(token_ids), 8))
+        logits[-1, (int(token_ids[-1]) + 1) % 8] = 1.0
+        return logits, ForwardStats(tokens_processed=len(token_ids))
 
 
 class TestEngineBudgets:
@@ -269,15 +283,18 @@ class TestEngineBudgets:
         requests.sort(key=lambda r: r.arrival_step)
         max_active = int(rng.integers(1, 5))
         budget = int(rng.integers(1, 9))
-        serial_handles, _, _ = _run_engine(
-            model, requests, max_active, batched=False
-        )
+        solo = [
+            generate(
+                model, r.prompt_tokens, max_new_tokens=r.max_new_tokens
+            ).generated_tokens
+            for r in requests
+        ]
         budget_handles, report, engine = _run_engine(
             model, requests, max_active, budget=budget
         )
-        assert [h.generated_tokens for h in budget_handles] == [
-            h.generated_tokens for h in serial_handles
-        ], "token content must not depend on the prefill budget"
+        assert [h.generated_tokens for h in budget_handles] == solo, (
+            "token content must not depend on the prefill budget"
+        )
         for metrics in report.requests:
             assert (
                 metrics.queue_steps + metrics.prefill_steps
@@ -300,15 +317,36 @@ class TestEngineBudgets:
             )
             for i in range(5)
         ]
-        serial_handles, serial_report, _ = _run_engine(
-            model, requests, 2, batched=False
-        )
-        batched_handles, batched_report, _ = _run_engine(model, requests, 2)
-        # with no budget cap the step-domain schedule is untouched: every
-        # prompt completes in its admission step, so the whole report matches
-        assert batched_report.requests == serial_report.requests
-        assert batched_report.steps == serial_report.steps
-        assert all(m.prefill_steps == 0 for m in batched_report.requests)
+        handles, report, _ = _run_engine(model, requests, 2)
+        # with no budget cap the step-domain schedule is the one-shot serial
+        # prefill engine's: every prompt completes in its admission step.
+        # Pinned from that engine's report (request_id, admitted, first
+        # token, finished, tokens, keys attended, keys total)
+        serial = [
+            ("q0", 0, 0, 2, 3, 72, 72),
+            ("q1", 1, 1, 3, 3, 90, 90),
+            ("q2", 3, 3, 5, 3, 110, 110),
+            ("q3", 4, 4, 6, 3, 132, 132),
+            ("q4", 6, 6, 8, 3, 156, 156),
+        ]
+        assert [
+            (
+                m.request_id,
+                m.admitted_step,
+                m.first_token_step,
+                m.finished_step,
+                m.n_generated,
+                m.keys_attended,
+                m.keys_total,
+            )
+            for m in report.requests
+        ] == serial
+        assert report.steps == 9
+        assert all(m.prefill_steps == 0 for m in report.requests)
+        for r, handle in zip(requests, handles):
+            assert handle.generated_tokens == generate(
+                model, r.prompt_tokens, max_new_tokens=r.max_new_tokens
+            ).generated_tokens
 
     def test_tight_budget_stretches_prefill_not_queue(self, model):
         prompt = list(range(1, 13))  # 12 tokens, budget 4 -> 3 prefill steps
@@ -332,25 +370,36 @@ class TestEngineBudgets:
         assert by_id["head"].first_token_step < by_id["tail"].first_token_step
 
     def test_batched_prefill_auto_disables_without_model_support(self):
-        class Stub:
-            def new_cache(self):
-                return []
-
-            def forward(self, token_ids, caches=None, predictor=None):
-                from repro.model.transformer import ForwardStats
-
-                logits = np.zeros((len(token_ids), 8))
-                logits[-1, (int(token_ids[-1]) + 1) % 8] = 1.0
-                return logits, ForwardStats(tokens_processed=len(token_ids))
-
-        engine = ServingEngine(Stub(), max_active=2)
-        assert not engine.batched_prefill
-        # forcing it on a model without prefill_batch still falls back
-        forced = ServingEngine(Stub(), max_active=2, batched_prefill=True)
-        assert not forced.batched_prefill
-        engine.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
+        engine = ServingEngine(_ForwardOnlyStub(), max_active=2)
+        assert not engine.chunked_prefill
+        engine.submit(Request("r0", prompt_tokens=[1, 2, 3], max_new_tokens=2))
         report = engine.run()
         assert report.requests[0].n_generated == 2
+        # the whole prompt ran in the admission step
+        assert report.requests[0].prefill_steps == 0
+
+    def test_budget_rejected_without_prefill_batch(self, model):
+        """A budget the model cannot honour raises instead of being ignored."""
+        from repro.serve.policies import FIFOAdmission
+
+        for forward_only in (_ForwardOnlyStub(), model.model):
+            with pytest.raises(ValueError, match="prefill_token_budget"):
+                ServingEngine(forward_only, prefill_token_budget=1)
+
+        class Throttler(FIFOAdmission):
+            def prefill_token_budget(self, engine):
+                return 1
+
+        # a policy override cannot chunk a forward-only model's prompts
+        # either: the 8-token prompt still lands in its admission step
+        engine = ServingEngine(model.model, max_active=2, admission=Throttler())
+        prompt = list(range(1, 9))
+        handle = engine.submit(Request("r0", prompt_tokens=prompt, max_new_tokens=3))
+        report = engine.run()
+        assert report.requests[0].prefill_steps == 0
+        assert handle.generated_tokens == generate(
+            model.model, prompt, max_new_tokens=3
+        ).generated_tokens
 
     def test_rejects_bad_budget(self, model):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from repro.core import BGPPConfig
 from repro.core.engine import EngineStats, MCBPEngine
 from repro.model import QuantizedTransformer, TransformerModel, get_model_config
 from repro.serve import (
-    ContinuousBatchingScheduler,
     Request,
     ServingEngine,
     ServingReport,
@@ -152,7 +151,12 @@ SERVING_GOLDEN = {
 # steps trade the old per-session view materialisations (view_bytes 133120
 # -> 53248) for batched gather traffic (rebuilds 6 -> 10, bytes 143360 ->
 # 245760), while every step-domain value (steps, tokens, page faults, peak
-# occupancy) is unchanged.
+# occupancy) is unchanged.  Re-pinned when decode rows joined the mixed pass
+# (one step path): one-session decode steps used to step alone through
+# forward(), materialising the session's KV (view_bytes 53248 -> 0); they
+# now read the pool through gather_batch like every other step (incremental
+# 8 -> 14, rebuilds 10 -> 12, bytes 245760 -> 268288).  Step-domain values
+# are again unchanged.
 ARENA_GOLDEN = {
     "page_size": 4,
     "n_pages": 64,
@@ -164,10 +168,10 @@ ARENA_GOLDEN = {
     "tokens_appended": 74,
     "sessions_opened": 4,
     "sessions_freed": 4,
-    "gather_rebuilds": 10,
-    "gather_incremental": 8,
-    "gather_bytes_copied": 245760,
-    "view_bytes_copied": 53248,
+    "gather_rebuilds": 12,
+    "gather_incremental": 14,
+    "gather_bytes_copied": 268288,
+    "view_bytes_copied": 0,
     # cross-request prefix cache counters (PR 6): the fixed run never enables
     # prefix_cache, so every counter is structurally zero -- the cache-off
     # engine must not touch the prefix index at all
@@ -205,10 +209,10 @@ LAST_STEP_GOLDEN = {
     "queued": 0,
     "arena_pages_in_use": 0,
     "arena_page_faults": 11,
-    "arena_gather_bytes_copied": 245760,
+    "arena_gather_bytes_copied": 268288,
 }
 
-# per-policy metrics block of the FCFS/FIFO shim run (no preemption possible;
+# per-policy metrics block of the FCFS/FIFO run (no preemption possible;
 # the failure-model counters -- failed/timed_out/shed/retries/callback_errors,
 # PR 7 -- are structurally zero on a fault-free run)
 POLICY_GOLDEN = {
@@ -252,10 +256,10 @@ def run_fixed_serving_workload():
         Request("g2", prompt_tokens=[11] * 9, max_new_tokens=5, arrival_step=2),
         Request("g3", prompt_tokens=[3, 1], max_new_tokens=7, arrival_step=3),
     ]
-    scheduler = ContinuousBatchingScheduler(model, max_active=2, page_size=4)
-    scheduler.submit_many(requests)
-    report = scheduler.run()
-    return scheduler, report
+    engine = ServingEngine(model, max_active=2, page_size=4)
+    engine.submit_many(requests)
+    report = engine.run()
+    return engine, report
 
 
 class TestServingGolden:

@@ -34,6 +34,7 @@ from repro.serve import (
     TERMINAL_STATES,
 )
 from repro.serve.session import GenerationSession
+from session_steps import admit
 from repro.workloads import sample_requests
 
 
@@ -259,7 +260,7 @@ class TestRetryAndIsolation:
 
     def test_verify_kv_rows_raises_on_mismatch(self, model):
         session = GenerationSession(Request("r", [1, 2], max_new_tokens=4), model)
-        session.admit(step=0)  # caches hold exactly the 2 prompt rows
+        admit(session, 0)  # caches hold exactly the 2 prompt rows
         session.decoder.verify_kv_rows(2)  # clean cache passes
         session._corrupt_kv_append()  # garbage row lands in layer 0
         with pytest.raises(KVCorruptionError, match="layer 0 holds 3"):

@@ -13,7 +13,7 @@ Four layers of pinning for the PR-8 capacity levers:
   emits tokens *and* attention metrics bit-identical to a solo
   ``generate()`` (no replay traffic -- the decoder is kept, nothing is
   recomputed), restores append zero tokens to the arena, and every
-  non-resume exit (cancel / finalize / legacy resume / release) drains the
+  non-resume exit (cancel / finalize / re-prefill resume / release) drains the
   snapshot's pinned pages.
 * ``TestSnapshotEngineFuzz`` -- hypothesis fuzz over preemption-heavy traces
   under the priority/deadline preemptive policies x prefix cache on/off:
@@ -55,6 +55,7 @@ from repro.serve import (
     make_policies,
 )
 from repro.serve.session import GenerationSession
+from session_steps import admit, decode, resume
 
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
@@ -258,10 +259,10 @@ class TestSessionSnapshot:
     def test_preempt_restore_matches_solo_exactly(self, model, kv_dtype):
         arena = self._arena(model, kv_dtype=kv_dtype)
         request, session = self._session(model, arena)
-        session.admit(step=0)
+        admit(session, 0)
         step = 1
         for _ in range(2):
-            session.decode_step(step)
+            decode(session, step)
             step += 1
         appended = arena.stats.tokens_appended
         session.preempt(step, snapshot=True)
@@ -273,7 +274,7 @@ class TestSessionSnapshot:
         assert session.resume_from_snapshot(step) is SessionState.ACTIVE
         assert arena.stats.tokens_appended == appended  # zero re-prefill
         while session.state is SessionState.ACTIVE:
-            session.decode_step(step)
+            decode(session, step)
             step += 1
 
         solo = _solo_reference(model, request)
@@ -300,7 +301,7 @@ class TestSessionSnapshot:
         assert session.state is SessionState.ACTIVE
         step = 3
         while session.state is SessionState.ACTIVE:
-            session.decode_step(step)
+            decode(session, step)
             step += 1
         solo = _solo_reference(model, request)
         assert session.generated_tokens == solo.generated_tokens
@@ -309,10 +310,10 @@ class TestSessionSnapshot:
         _assert_books_balanced(arena)
 
     def test_every_terminal_exit_drains_the_snapshot(self, model):
-        for exit_via in ("cancel", "finalize", "release", "legacy_resume"):
+        for exit_via in ("cancel", "finalize", "release", "reprefill_resume"):
             arena = self._arena(model)
             _, session = self._session(model, arena, rid=f"x-{exit_via}")
-            session.admit(step=0)
+            admit(session, 0)
             session.preempt(1, snapshot=True)
             assert session.has_snapshot
             if exit_via == "cancel":
@@ -322,9 +323,9 @@ class TestSessionSnapshot:
             elif exit_via == "release":
                 session.release_kv()
             else:
-                # a legacy resume must abandon the snapshot cleanly and
+                # a re-prefill resume must abandon the snapshot cleanly and
                 # fall back to re-prefill without leaking pinned pages
-                session.resume(2)
+                resume(session, 2)
                 session.release_kv()
             assert not session.has_snapshot
             _assert_books_balanced(arena)
@@ -332,7 +333,7 @@ class TestSessionSnapshot:
     def test_trusted_retry_snapshots_untrusted_retry_does_not(self, model):
         arena = self._arena(model)
         _, session = self._session(model, arena, rid="trust")
-        session.admit(step=0)
+        admit(session, 0)
         session.retry(1, snapshot=True)  # trusted: pre-forward fault
         assert session.has_snapshot and session.retries == 1
         # a second trusted retry while waiting keeps the same snapshot
@@ -379,7 +380,7 @@ class TestSatelliteRegressions:
         prompt = list(range(9))
         owner_req = Request("owner", prompt, max_new_tokens=2)
         owner = GenerationSession(owner_req, model, arena=arena, prefix_cache=True)
-        owner.admit(step=0)  # registers the two full prompt pages
+        admit(owner, 0)  # registers the two full prompt pages
 
         req = Request("victim", prompt, max_new_tokens=4)
         victim = GenerationSession(req, model, arena=arena, prefix_cache=True)
@@ -400,7 +401,7 @@ class TestSatelliteRegressions:
                 )
         step = 4
         while victim.state is SessionState.ACTIVE:
-            victim.decode_step(step)
+            decode(victim, step)
             step += 1
         assert victim.generated_tokens == _solo_reference(model, req).generated_tokens
         victim.release_kv()
@@ -418,10 +419,10 @@ class TestSatelliteRegressions:
         session.retry(0, snapshot=True)  # QUEUED: no KV to snapshot
         assert session.state is SessionState.PREEMPTED
         assert not session.has_snapshot
-        session.resume(1)
+        resume(session, 1)
         step = 2
         while session.state is SessionState.ACTIVE:
-            session.decode_step(step)
+            decode(session, step)
             step += 1
         assert session.generated_tokens == _solo_reference(model, req).generated_tokens
         session.release_kv()

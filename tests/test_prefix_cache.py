@@ -59,7 +59,7 @@ def model():
 
 
 class StubModel:
-    """Arena-less stand-in (no ``forward_batch``/``config``): next = last + 1."""
+    """Arena-less stand-in (no ``prefill_batch``/``config``): next = last + 1."""
 
     def __init__(self, vocab: int = 16):
         self.vocab = vocab

@@ -4,10 +4,9 @@ Two fuzzed contracts:
 
 * ``TestFuzzedTraces`` -- each example replays one serving trace (Poisson or
   bursty arrivals, random prompt/output lengths, capacities 1..16) through
-  the FCFS scheduler in all four execution configurations (``fused`` on/off
-  x ``arena`` on/off).  Every configuration must emit bit-identical tokens
-  and identical :class:`RequestMetrics`, and the arena must drain completely
-  (every page freed) once the trace finishes.
+  the FCFS engine with the KV arena on and off.  Both must emit the tokens
+  of solo ``generate()`` runs and identical :class:`RequestMetrics`, and the
+  arena must drain completely (every page freed) once the trace finishes.
 * ``TestPreemptionFuzz`` -- each example replays one prioritized bursty
   trace under the preemptive priority/deadline policy pairs with tight slot
   counts.  Runs must be deterministic under a fixed seed, every request's
@@ -28,7 +27,6 @@ from hypothesis import strategies as st
 from repro.core.bgpp import make_bgpp_predictor
 from repro.model import QuantizedTransformer, TransformerModel, generate, get_model_config
 from repro.serve import (
-    ContinuousBatchingScheduler,
     PagedKVArena,
     Request,
     ServingEngine,
@@ -38,7 +36,6 @@ from repro.serve import (
 # deterministic on CI: no wall-clock deadline, fixed example sequence
 FUZZ = settings(max_examples=10, deadline=None, derandomize=True)
 
-CONFIGS = [(fused, arena) for fused in (True, False) for arena in (True, False)]
 
 
 @pytest.fixture(scope="module")
@@ -68,40 +65,49 @@ def _sample_trace(rng, vocab):
     ]
 
 
-def _run(model, requests, max_active, fused, arena, predictor=None):
-    scheduler = ContinuousBatchingScheduler(
+def _run(model, requests, max_active, arena, predictor=None):
+    engine = ServingEngine(
         model,
         max_active=max_active,
         predictor=predictor,
-        fused=fused,
         arena=arena,
         page_size=4,  # small pages so traces exercise multi-page sessions
     )
-    sessions = scheduler.submit_many(requests)
-    scheduler.run()
-    tokens = [s.generated_tokens for s in sessions]
-    metrics = [s.to_metrics() for s in sessions]
-    return tokens, metrics, scheduler
+    handles = engine.submit_many(requests)
+    engine.run()
+    tokens = [h.generated_tokens for h in handles]
+    metrics = [h.metrics() for h in handles]
+    return tokens, metrics, engine
+
+
+def _solo(model, requests, predictor=None):
+    return [
+        generate(
+            model, r.prompt_tokens, max_new_tokens=r.max_new_tokens, predictor=predictor
+        ).generated_tokens
+        for r in requests
+    ]
 
 
 class TestFuzzedTraces:
     @FUZZ
     @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_all_four_configurations_are_bit_identical(self, model, seed):
+    def test_arena_on_off_bit_identical_to_solo(self, model, seed):
         rng = np.random.default_rng(seed)
         requests = _sample_trace(rng, model.config.vocab_size)
         max_active = int(rng.integers(1, 17))
 
         results = {
-            cfg: _run(model, requests, max_active, fused=cfg[0], arena=cfg[1])
-            for cfg in CONFIGS
+            arena: _run(model, requests, max_active, arena=arena)
+            for arena in (True, False)
         }
-        ref_tokens, ref_metrics, _ = results[(True, True)]
-        for cfg, (tokens, metrics, scheduler) in results.items():
-            assert tokens == ref_tokens, f"tokens diverge for fused,arena={cfg}"
-            assert metrics == ref_metrics, f"metrics diverge for fused,arena={cfg}"
-            if scheduler.arena is not None:
-                stats = scheduler.arena.stats
+        ref_tokens = _solo(model, requests)
+        _, ref_metrics, _ = results[True]
+        for arena, (tokens, metrics, engine) in results.items():
+            assert tokens == ref_tokens, f"tokens diverge for arena={arena}"
+            assert metrics == ref_metrics, f"metrics diverge for arena={arena}"
+            if engine.arena is not None:
+                stats = engine.arena.stats
                 # the drained arena holds zero live pages and balanced books
                 assert stats.pages_in_use == 0
                 assert stats.page_faults == stats.pages_freed
@@ -111,14 +117,14 @@ class TestFuzzedTraces:
     @FUZZ
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_with_bgpp_predictor(self, model, seed):
-        """Sparse-attention serving is config-invariant too (2 configs for cost)."""
+        """Sparse-attention serving is arena-invariant and solo-exact too."""
         rng = np.random.default_rng(seed)
         requests = _sample_trace(rng, model.config.vocab_size)[:4]
         max_active = int(rng.integers(1, 9))
         predictor = make_bgpp_predictor(alpha=0.7, rounds=3)
-        arena_run = _run(model, requests, max_active, True, True, predictor)
-        plain_run = _run(model, requests, max_active, False, False, predictor)
-        assert arena_run[0] == plain_run[0]
+        arena_run = _run(model, requests, max_active, True, predictor)
+        plain_run = _run(model, requests, max_active, False, predictor)
+        assert arena_run[0] == plain_run[0] == _solo(model, requests, predictor)
         assert arena_run[1] == plain_run[1]
 
 
@@ -230,13 +236,22 @@ class TestPreemptionFuzz:
 
 class TestArenaPolicy:
     def test_auto_mode_skips_arena_for_per_session_stepping(self, model):
-        """Auto arena only engages where gather_batch can consume it."""
-        assert ContinuousBatchingScheduler(model).arena is not None
-        assert ContinuousBatchingScheduler(model, fused=False).arena is None
-        # explicit True still forces it (the fuzz matrix relies on this)
-        forced = ContinuousBatchingScheduler(model, fused=False, arena=True)
+        """Auto arena only engages where gather_batch can consume it.
+
+        The float model is forward-only (each stream steps alone through
+        ``forward``), so auto mode keeps it on standalone caches.
+        """
+        assert ServingEngine(model).arena is not None
+        assert ServingEngine(model.model).arena is None
+        # explicit True still forces it
+        forced = ServingEngine(model.model, arena=True)
         assert forced.arena is not None
-        assert ContinuousBatchingScheduler(model, arena=False).arena is None
+        assert ServingEngine(model, arena=False).arena is None
+        request = Request("f0", prompt_tokens=[3, 1, 4], max_new_tokens=4)
+        forced.submit(request)
+        forced.run()
+        assert forced.arena.stats.pages_in_use == 0
+        assert forced.report().requests[0].n_generated == 4
 
 
 class TestSharedArena:
@@ -249,14 +264,12 @@ class TestSharedArena:
             Request(f"q{i}", prompt_tokens=[i + 1, i + 2], max_new_tokens=3)
             for i in range(4)
         ]
-        baseline, _, _ = _run(model, requests, 2, fused=True, arena=False)
+        baseline, _, _ = _run(model, requests, 2, arena=False)
         for _ in range(2):  # the same pool drains and is reused run after run
-            sched = ContinuousBatchingScheduler(
-                model, max_active=2, arena=arena
-            )
-            sessions = sched.submit_many(requests)
-            sched.run()
-            assert [s.generated_tokens for s in sessions] == baseline
+            engine = ServingEngine(model, max_active=2, arena=arena)
+            handles = engine.submit_many(requests)
+            engine.run()
+            assert [h.generated_tokens for h in handles] == baseline
             assert arena.stats.pages_in_use == 0
         assert arena.stats.sessions_opened == 8
 
@@ -274,11 +287,11 @@ class TestSharedArena:
                 logits[-1, (int(token_ids[-1]) + 1) % self.vocab] = 1.0
                 return logits, ForwardStats(tokens_processed=len(token_ids))
 
-        # default arena policy is auto: Stub has neither forward_batch nor a
-        # config, so the scheduler must stay on standalone caches -- even
-        # when the arena is forced
-        assert ContinuousBatchingScheduler(Stub(), max_active=2).arena is None
-        sched = ContinuousBatchingScheduler(Stub(), max_active=2, arena=True)
+        # default arena policy is auto: Stub has neither prefill_batch nor a
+        # config, so the engine must stay on standalone caches -- even when
+        # the arena is forced
+        assert ServingEngine(Stub(), max_active=2).arena is None
+        sched = ServingEngine(Stub(), max_active=2, arena=True)
         assert sched.arena is None
         sched.submit(Request("r0", prompt_tokens=[1], max_new_tokens=2))
         report = sched.run()

@@ -6,11 +6,12 @@ import pytest
 from repro.model import TransformerModel, generate, get_model_config
 from repro.model.generation import IncrementalDecoder
 from repro.serve import (
-    ContinuousBatchingScheduler,
     Request,
+    ServingEngine,
     SessionState,
 )
 from repro.serve.session import GenerationSession
+from session_steps import admit, decode
 from repro.workloads import poisson_arrival_steps, sample_requests
 
 
@@ -68,9 +69,9 @@ class TestSession:
         # prompt ends at 4 -> emits 5, 6, 7, ... ; eos=7 stops after 3 tokens
         request = Request("r0", prompt_tokens=[4], max_new_tokens=10, eos_token=7)
         session = GenerationSession(request, model)
-        assert session.admit(step=0) == 5
-        assert session.decode_step(step=1) == 6
-        assert session.decode_step(step=2) == 7
+        assert admit(session, 0) == 5
+        assert decode(session, 1) == 6
+        assert decode(session, 2) == 7
         assert session.is_finished
         assert session.generated_tokens == [5, 6, 7]
         metrics = session.to_metrics()
@@ -87,8 +88,8 @@ class TestSession:
         model = StubModel()
         request = Request("r1", prompt_tokens=[0], max_new_tokens=2)
         session = GenerationSession(request, model)
-        session.admit(step=0)
-        session.decode_step(step=1)
+        admit(session, 0)
+        decode(session, 1)
         assert session.is_finished
         # prefill + exactly one decode forward: the final token needs no pass
         assert model.forward_calls == 2
@@ -97,17 +98,17 @@ class TestSession:
         request = Request("r2", prompt_tokens=[0], max_new_tokens=1)
         session = GenerationSession(request, StubModel())
         with pytest.raises(RuntimeError):
-            session.decode_step(step=0)
-        session.admit(step=0)
+            decode(session, 0)
+        admit(session, 0)
         assert session.is_finished  # budget of 1 is met by the prefill token
         with pytest.raises(RuntimeError):
-            session.admit(step=1)
+            admit(session, 1)
 
     def test_numpy_array_prompt_accepted(self):
         prompt = np.array([1, 2, 3])
         request = Request("np", prompt_tokens=prompt, max_new_tokens=2)
         session = GenerationSession(request, StubModel())
-        assert session.admit(step=0) == 4
+        assert admit(session, 0) == 4
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -121,12 +122,12 @@ class TestSession:
 class TestScheduler:
     def test_respects_max_active_and_fifo(self):
         model = StubModel()
-        sched = ContinuousBatchingScheduler(model, max_active=2)
+        sched = ServingEngine(model, max_active=2)
         reqs = [Request(f"r{i}", prompt_tokens=[i], max_new_tokens=4) for i in range(5)]
-        sessions = sched.submit_many(reqs)
+        handles = sched.submit_many(reqs)
         report = sched.run()
         assert report.max_concurrency == 2
-        admits = {s.request.request_id: s.admitted_step for s in sessions}
+        admits = {h.request_id: h.session.admitted_step for h in handles}
         # FIFO: earlier submissions are never admitted after later ones
         order = [admits[f"r{i}"] for i in range(5)]
         assert order == sorted(order)
@@ -134,16 +135,17 @@ class TestScheduler:
 
     def test_admission_is_earliest_arrival_first(self):
         # submitted out of arrival order: the earlier arrival must win the slot
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=1)
+        sched = ServingEngine(StubModel(), max_active=1)
         blocker = Request("blocker", prompt_tokens=[0], max_new_tokens=10)
         late = Request("late", prompt_tokens=[0], max_new_tokens=2, arrival_step=5)
         early = Request("early", prompt_tokens=[0], max_new_tokens=2, arrival_step=1)
-        sessions = {r.request_id: sched.submit(r) for r in (blocker, late, early)}
+        handles = {r.request_id: sched.submit(r) for r in (blocker, late, early)}
         sched.run()
-        assert sessions["early"].admitted_step < sessions["late"].admitted_step
+        early_admit = handles["early"].session.admitted_step
+        assert early_admit < handles["late"].session.admitted_step
 
     def test_arrival_steps_are_honoured(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=4)
+        sched = ServingEngine(StubModel(), max_active=4)
         late = Request("late", prompt_tokens=[1], max_new_tokens=2, arrival_step=5)
         sched.submit(late)
         report = sched.run()
@@ -156,18 +158,18 @@ class TestScheduler:
         requests = sample_requests(
             10, vocab_size=model.config.vocab_size, mean_interarrival=1.0, seed=3
         )
-        sched = ContinuousBatchingScheduler(model, max_active=8)
-        sessions = sched.submit_many(requests)
+        sched = ServingEngine(model, max_active=8)
+        handles = sched.submit_many(requests)
         report = sched.run()
         assert report.max_concurrency >= 2
-        for request, session in zip(requests, sessions):
+        for request, handle in zip(requests, handles):
             solo = generate(
                 model, request.prompt_tokens, max_new_tokens=request.max_new_tokens
             )
-            assert session.generated_tokens == solo.generated_tokens, request.request_id
+            assert handle.generated_tokens == solo.generated_tokens, request.request_id
 
     def test_eight_concurrent_sessions_multiplex(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=8)
+        sched = ServingEngine(StubModel(), max_active=8)
         reqs = [
             Request(f"r{i}", prompt_tokens=[i % 8], max_new_tokens=6) for i in range(8)
         ]
@@ -178,8 +180,18 @@ class TestScheduler:
         assert report.steps == 6  # all eight decode in lockstep
         assert report.throughput_tokens_per_step == pytest.approx(8.0)
 
+    def test_step_values_are_token_lists(self):
+        """Speculation off, every step value is still a list of tokens."""
+        sched = ServingEngine(StubModel(), max_active=2)
+        sched.submit(Request("a", prompt_tokens=[3], max_new_tokens=3))
+        sched.submit(Request("b", prompt_tokens=[7], max_new_tokens=2, arrival_step=1))
+        assert sched.step() == {"a": [4]}
+        assert sched.step() == {"a": [5], "b": [8]}
+        assert sched.step() == {"a": [6], "b": [9]}
+        assert not sched.has_work
+
     def test_report_summary_and_percentiles(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=2)
+        sched = ServingEngine(StubModel(), max_active=2)
         sched.submit_many(
             Request(f"r{i}", prompt_tokens=[0], max_new_tokens=3) for i in range(4)
         )
@@ -190,7 +202,7 @@ class TestScheduler:
         assert report.mean_queue_delay_steps >= 0.0
 
     def test_run_reports_truncated_when_not_drained(self):
-        sched = ContinuousBatchingScheduler(StubModel(), max_active=1)
+        sched = ServingEngine(StubModel(), max_active=1)
         sched.submit(Request("r0", prompt_tokens=[0], max_new_tokens=50))
         report = sched.run(max_steps=3)
         assert report.truncated
@@ -199,30 +211,13 @@ class TestScheduler:
 
     def test_rejects_bad_max_active(self):
         with pytest.raises(ValueError):
-            ContinuousBatchingScheduler(StubModel(), max_active=0)
+            ServingEngine(StubModel(), max_active=0)
 
     def test_rejects_duplicate_request_ids(self):
-        sched = ContinuousBatchingScheduler(StubModel())
+        sched = ServingEngine(StubModel())
         sched.submit(Request("dup", prompt_tokens=[0], max_new_tokens=1))
         with pytest.raises(ValueError, match="duplicate request_id"):
             sched.submit(Request("dup", prompt_tokens=[1], max_new_tokens=1))
-
-    def test_deprecation_warning_fires_exactly_once_per_process(self, monkeypatch):
-        import warnings
-
-        from repro.serve import scheduler as scheduler_module
-
-        # re-arm the once-per-process latch so this test is order-independent
-        monkeypatch.setattr(scheduler_module, "_shim_deprecation_warned", False)
-        with pytest.warns(DeprecationWarning):
-            ContinuousBatchingScheduler(StubModel())
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ContinuousBatchingScheduler(StubModel())
-            ContinuousBatchingScheduler(StubModel())
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ], "the shim warning must fire once per process, not per instantiation"
 
 
 class TestTraffic:

@@ -2,8 +2,8 @@
 
 Covers the `ServingEngine` facade (handles, callbacks, cancellation), the
 shipped admission/scheduling policies (ordering, preemption, arena-budget
-queueing), the preempt/resume session state machine, the deprecation shim's
-bit-exact equivalence, and the new traffic generators.
+queueing), the preempt/resume session state machine, and the new traffic
+generators.
 """
 
 import dataclasses
@@ -19,7 +19,6 @@ from repro.model import (
 )
 from repro.serve import (
     ArenaBudgetAdmission,
-    ContinuousBatchingScheduler,
     DeadlineAdmission,
     FIFOAdmission,
     PagedKVArena,
@@ -31,6 +30,7 @@ from repro.serve import (
     make_policies,
 )
 from repro.serve.session import GenerationSession
+from session_steps import admit, decode, resume
 from repro.workloads import (
     lognormal_arrival_steps,
     pareto_arrival_steps,
@@ -75,14 +75,14 @@ class TestPreemptResume:
         session = GenerationSession(
             Request("r", prompt_tokens=[3], max_new_tokens=6), StubModel()
         )
-        assert session.admit(step=0) == 4
-        assert session.decode_step(step=1) == 5
+        assert admit(session, 0) == 4
+        assert decode(session, 1) == 5
         session.preempt(step=2)
         assert session.state is SessionState.PREEMPTED
         assert session.decoder is None
         assert session.preemptions == 1
-        assert session.resume(step=5) == 6  # re-prefill emits the next token
-        assert session.decode_step(step=6) == 7
+        assert resume(session, 5) == 6  # re-prefill emits the next token
+        assert decode(session, 6) == 7
         assert session.generated_tokens == [4, 5, 6, 7]
 
     def test_preemption_work_stays_in_traffic_counters(self):
@@ -90,15 +90,15 @@ class TestPreemptResume:
             session = GenerationSession(
                 Request("r", prompt_tokens=[0, 1], max_new_tokens=4), StubModel()
             )
-            session.admit(step=0)
-            session.decode_step(step=1)
+            admit(session, 0)
+            decode(session, 1)
             if preempt:
                 session.preempt(step=2)
-                session.resume(step=3)
+                resume(session, 3)
             else:
-                session.decode_step(step=2)
+                decode(session, 2)
             while not session.is_finished:
-                session.decode_step(step=4)
+                decode(session, 4)
             return session
 
         plain, preempted = run(False), run(True)
@@ -113,17 +113,17 @@ class TestPreemptResume:
         with pytest.raises(RuntimeError):
             session.preempt(step=0)  # queued, not active
         with pytest.raises(RuntimeError):
-            session.resume(step=0)  # not preempted
-        session.admit(step=0)
+            resume(session, 0)  # not preempted
+        admit(session, 0)
         session.preempt(step=1)
         with pytest.raises(RuntimeError):
-            session.decode_step(step=1)  # preempted sessions do not decode
+            decode(session, 1)  # preempted sessions do not decode
         session.cancel()
         assert session.state is SessionState.CANCELLED
         with pytest.raises(RuntimeError):
             session.cancel()  # terminal
         with pytest.raises(RuntimeError):
-            session.resume(step=2)  # cancelled stays cancelled
+            resume(session, 2)  # cancelled stays cancelled
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -220,36 +220,6 @@ class TestServingEngineFacade:
         for key in ("truncated", "leftover_queued", "leftover_active"):
             legacy.pop(key)
         assert ServingReport.from_json(legacy).truncated is False
-
-
-# -- deprecation shim ----------------------------------------------------------
-
-
-class TestDeprecationShim:
-    def test_shim_warns_and_matches_engine_bit_exactly(self, model, monkeypatch):
-        from repro.serve import scheduler as scheduler_module
-
-        requests = sample_requests(
-            10, vocab_size=model.config.vocab_size, mean_interarrival=0.5, seed=11
-        )
-        engine = ServingEngine(model, max_active=4)
-        handles = engine.submit_many(requests)
-        engine_report = engine.run()
-        # the warning fires once per process; re-arm it so this test observes
-        # it regardless of which suite instantiated a shim first
-        monkeypatch.setattr(scheduler_module, "_shim_deprecation_warned", False)
-        with pytest.warns(DeprecationWarning):
-            shim = ContinuousBatchingScheduler(model, max_active=4)
-        sessions = shim.submit_many(requests)
-        shim_report = shim.run()
-        assert all(isinstance(s, GenerationSession) for s in sessions)
-        assert [h.generated_tokens for h in handles] == [
-            s.generated_tokens for s in sessions
-        ]
-        assert engine_report.requests == shim_report.requests
-        assert engine_report.arena == shim_report.arena
-        assert engine_report.steps == shim_report.steps
-        assert engine_report.policy == shim_report.policy
 
 
 # -- admission policies --------------------------------------------------------
